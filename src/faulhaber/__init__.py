@@ -14,16 +14,14 @@ from .bernoulli import (
     bernoulli_polynomial,
     verify_odd_zero,
 )
-from .polynomial import MINUS_INFINITY, Polynomial, X
+from .polynomial import Polynomial, X
 from .powersum import (
-    SumIdentityReport,
     check_partial_sum_identity,
     oracle_sum,
     powersum_monomial,
     powersum_via_bernoulli_poly,
 )
 from .recurrence import (
-    RecurrenceReport,
     he_ricci_polynomial,
     partial_sum_polynomial,
     verify_recurrence_consistency,
@@ -34,6 +32,7 @@ from .shifted import (
     shifted_closed_form,
     shifted_form,
     shifted_to_monomial,
+    verify_roundtrip,
 )
 from .triangular import (
     ConsistencyError,
@@ -56,13 +55,10 @@ __all__ = [
     "CheckLine",
     "ConsistencyError",
     "FaulhaberForm",
-    "MINUS_INFINITY",
     "Multiplier",
     "NotTriangular",
     "Polynomial",
-    "RecurrenceReport",
     "ShiftedForm",
-    "SumIdentityReport",
     "VerificationReport",
     "X",
     "bernoulli_at_half",
@@ -86,4 +82,5 @@ __all__ = [
     "verify_lemma",
     "verify_odd_zero",
     "verify_recurrence_consistency",
+    "verify_roundtrip",
 ]

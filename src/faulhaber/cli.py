@@ -9,12 +9,12 @@ print identical bytes.
 from __future__ import annotations
 
 import argparse
+import decimal
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bernoulli import bernoulli_at_half, bernoulli_number, bernoulli_polynomial, verify_odd_zero
-from .polynomial import Polynomial
 from .powersum import oracle_sum, powersum_monomial
 from .recurrence import verify_recurrence_consistency
 from .render import (
@@ -23,10 +23,8 @@ from .render import (
     render_shifted,
     render_triangular,
 )
-from .reports import CheckLine, VerificationReport
-from .shifted import shifted_closed_form, shifted_form, shifted_to_monomial
+from .shifted import shifted_closed_form, shifted_form, verify_roundtrip
 from .triangular import (
-    expand_to_monomial,
     faulhaber_form,
     faulhaber_form_inductive,
     verify_constant_term_bernoulli,
@@ -34,6 +32,15 @@ from .triangular import (
 )
 
 CHECK_LIMIT = 10**6
+
+#: verify suite -> name of the library function that runs it, in `all` order
+SUITES = {
+    "odd-bernoulli": "verify_odd_zero",
+    "roundtrip": "verify_roundtrip",
+    "lemma": "verify_lemma",
+    "recurrence": "verify_recurrence_consistency",
+    "constant-term": "verify_constant_term_bernoulli",
+}
 
 
 class UsageError(Exception):
@@ -102,6 +109,15 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     return 0
 
 
+def _digits(value: int) -> str:
+    """Exact decimal digits of an int of any size.
+
+    str(int) refuses values past the interpreter's digit limit; the decimal
+    module converts without it and leaves the process-wide limit alone.
+    """
+    return str(decimal.Decimal(value))
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     m, n = args.exponent, args.upper
     if args.check and n > CHECK_LIMIT:
@@ -116,45 +132,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.check:
         reference = oracle_sum(m, n)
         status = "OK" if reference == value else "MISMATCH"
-        print(f"{value} (oracle: {reference}, {status})")
+        print(f"{_digits(value)} (oracle: {_digits(reference)}, {status})")
         return 0 if status == "OK" else 1
-    print(value)
+    print(_digits(value))
     return 0
 
 
-def _roundtrip_report(max_power: int) -> VerificationReport:
-    lines = []
-    for power in range(2, max_power + 1):
-        ok = expand_to_monomial(faulhaber_form(power)) == powersum_monomial(power)
-        lines.append(CheckLine(f"triangular roundtrip, power {power}", ok))
-    for power in range(1, max_power + 1):
-        ok = shifted_to_monomial(shifted_form(power)) == powersum_monomial(power)
-        lines.append(CheckLine(f"shifted roundtrip, power {power}", ok))
-    return VerificationReport(name="roundtrip", lines=tuple(lines))
-
-
-def _recurrence_report(max_m: int) -> VerificationReport:
-    report = verify_recurrence_consistency(max_m)
-    lines = tuple(
-        CheckLine(f"recurrences agree at index {i + 1}", ok) for i, ok in enumerate(report.flags)
-    )
-    return VerificationReport(name="recurrence", lines=lines)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suite, max_value = args.suite, args.max
-    runners = {
-        "odd-bernoulli": lambda: verify_odd_zero(max_value),
-        "roundtrip": lambda: _roundtrip_report(max_value),
-        "lemma": lambda: verify_lemma(max_value),
-        "recurrence": lambda: _recurrence_report(max_value),
-        "constant-term": lambda: verify_constant_term_bernoulli(max_value),
-    }
-    names = list(runners) if suite == "all" else [suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
+        # looked up at call time, so a rebinding of the module global is honoured
+        run_suite = globals()[SUITES[name]]
         try:
-            reports.append(runners[name]())
+            reports.append(run_suite(args.max))
         except ValueError as exc:
             raise UsageError(f"suite '{name}': {exc}") from exc
     failed = False
@@ -196,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument(
         "suite",
-        choices=["odd-bernoulli", "roundtrip", "lemma", "recurrence", "constant-term", "all"],
+        choices=[*SUITES, "all"],
     )
     v.add_argument("--max", type=_positive_int, default=20, help="range bound (default 20)")
     v.set_defaults(handler=_cmd_verify)

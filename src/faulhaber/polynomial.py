@@ -13,10 +13,6 @@ from typing import Iterable, Union
 
 Scalar = Union[Fraction, int]
 
-#: Degree of the zero polynomial. Compares below every integer degree; it
-#: never participates in arithmetic.
-MINUS_INFINITY = float("-inf")
-
 
 def _coerce(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
@@ -49,9 +45,9 @@ class Polynomial:
         return not self.coeffs
 
     @property
-    def degree(self) -> int | float:
-        """Degree, or MINUS_INFINITY for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+    def degree(self) -> int:
+        """Degree, or -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x**k; zero beyond the stored degree."""

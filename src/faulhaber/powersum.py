@@ -7,12 +7,12 @@ telescoping identity that links consecutive exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .bernoulli import bernoulli_number, bernoulli_polynomial
 from .polynomial import Polynomial, X
+from .reports import CheckLine
 
 
 def powersum_monomial(m: int) -> Polynomial:
@@ -60,21 +60,7 @@ def oracle_sum(m: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SumIdentityReport:
-    """Both sides of the telescoping identity at one (exponent, limit) pair."""
-
-    exponent: int
-    upper_limit: int
-    left_value: int
-    right_value: int
-
-    @property
-    def passed(self) -> bool:
-        return self.left_value == self.right_value
-
-
-def check_partial_sum_identity(m: int, n: int) -> SumIdentityReport:
+def check_partial_sum_identity(m: int, n: int) -> CheckLine:
     """Check sum(k**(m+1)) + sum over k of sum(l**m, l<=k) == (n+1)*sum(k**m).
 
     Every quantity comes from oracle_sum, so this exercises the identity on
@@ -86,4 +72,4 @@ def check_partial_sum_identity(m: int, n: int) -> SumIdentityReport:
         raise ValueError("upper limit must be >= 1")
     left = oracle_sum(m + 1, n) + sum(oracle_sum(m, k) for k in range(1, n + 1))
     right = (n + 1) * oracle_sum(m, n)
-    return SumIdentityReport(exponent=m, upper_limit=n, left_value=left, right_value=right)
+    return CheckLine(f"partial-sum identity, m={m}, n={n}", left == right)

@@ -9,7 +9,6 @@ convention lives solely in powersum_monomial and must not leak in here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -17,6 +16,33 @@ from typing import Optional
 from .bernoulli import bernoulli_number, bernoulli_polynomial
 from .polynomial import Polynomial, X
 from .powersum import powersum_monomial
+from .reports import CheckLine, VerificationReport
+
+
+def _he_ricci_table(m: int) -> list[Polynomial]:
+    """B_0(x)..B_m(x), each built from the entries before it."""
+    half = Fraction(1, 2)
+    table: list[Polynomial] = [Polynomial((1,))]
+    for i in range(1, m + 1):
+        tail = Polynomial()
+        for r in range(0, i - 1):
+            tail = tail + table[r] * (comb(i, r) * bernoulli_number(i - r))
+        table.append((X - half) * table[i - 1] - tail * Fraction(1, i))
+    return table
+
+
+def _partial_sum_table(m: int) -> list[Optional[Polynomial]]:
+    """None, then S_1(x)..S_m(x), each built from the entries before it."""
+    half = Fraction(1, 2)
+    table: list[Optional[Polynomial]] = [None, Polynomial((0, half, half))]
+    for i in range(2, m + 1):
+        tail = Polynomial()
+        for r in range(1, i - 1):
+            # only B_2 .. B_(i-1) may enter; B_1's sign convention must stay out
+            assert 2 <= i - r <= i - 1
+            tail = tail + table[r] * (comb(i, r) * bernoulli_number(i - r))
+        table.append(((X + half) * table[i - 1] * i - tail) * Fraction(1, i + 1))
+    return table
 
 
 def he_ricci_polynomial(m: int) -> Polynomial:
@@ -28,14 +54,7 @@ def he_ricci_polynomial(m: int) -> Polynomial:
     """
     if m < 0:
         raise ValueError("index must be >= 0")
-    half = Fraction(1, 2)
-    table: list[Polynomial] = [Polynomial((1,))]
-    for i in range(1, m + 1):
-        tail = Polynomial()
-        for r in range(0, i - 1):
-            tail = tail + table[r] * (comb(i, r) * bernoulli_number(i - r))
-        table.append((X - half) * table[i - 1] - tail * Fraction(1, i))
-    return table[m]
+    return _he_ricci_table(m)[m]
 
 
 def partial_sum_polynomial(m: int) -> Polynomial:
@@ -48,49 +67,24 @@ def partial_sum_polynomial(m: int) -> Polynomial:
     """
     if m < 2:
         raise ValueError("the recurrence starts at m = 2")
-    half = Fraction(1, 2)
-    table: list[Optional[Polynomial]] = [None, Polynomial((0, half, half))]
-    for i in range(2, m + 1):
-        tail = Polynomial()
-        for r in range(1, i - 1):
-            # only B_2 .. B_(i-1) may enter; B_1's sign convention must stay out
-            assert 2 <= i - r <= i - 1
-            tail = tail + table[r] * (comb(i, r) * bernoulli_number(i - r))
-        table.append(((X + half) * table[i - 1] * i - tail) * Fraction(1, i + 1))
-    return table[m]
+    return _partial_sum_table(m)[m]
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
-    """Per-index agreement flags for both recurrences against the direct routes."""
-
-    max_index: int
-    flags: tuple[bool, ...]  # entry i covers index i + 1
-
-    @property
-    def passed(self) -> bool:
-        return all(self.flags)
-
-    @property
-    def counterexample_index(self) -> Optional[int]:
-        for i, ok in enumerate(self.flags):
-            if not ok:
-                return i + 1
-        return None
-
-
-def verify_recurrence_consistency(max_m: int) -> RecurrenceReport:
+def verify_recurrence_consistency(max_m: int) -> VerificationReport:
     """Check both recurrences for every index up to max_m.
 
-    Index m passes when he_ricci_polynomial(m) == bernoulli_polynomial(m)
-    and (for m >= 2) partial_sum_polynomial(m) == powersum_monomial(m).
+    Each table is built once. Index m passes when the Bernoulli recurrence
+    gives bernoulli_polynomial(m) and (for m >= 2) the power-sum recurrence
+    gives powersum_monomial(m).
     """
     if max_m < 2:
         raise ValueError("max_m must be >= 2")
-    flags = []
+    bernoulli_table = _he_ricci_table(max_m)
+    sum_table = _partial_sum_table(max_m)
+    lines = []
     for m in range(1, max_m + 1):
-        ok = he_ricci_polynomial(m) == bernoulli_polynomial(m)
+        ok = bernoulli_table[m] == bernoulli_polynomial(m)
         if m >= 2:
-            ok = ok and partial_sum_polynomial(m) == powersum_monomial(m)
-        flags.append(ok)
-    return RecurrenceReport(max_index=max_m, flags=tuple(flags))
+            ok = ok and sum_table[m] == powersum_monomial(m)
+        lines.append(CheckLine(f"recurrences agree at index {m}", ok))
+    return VerificationReport(name="recurrence", lines=tuple(lines))

@@ -17,13 +17,12 @@ from typing import Literal
 
 from .bernoulli import bernoulli_at_half
 from .polynomial import Polynomial, X
-from .triangular import ConsistencyError, Multiplier, faulhaber_form
+from .powersum import powersum_monomial
+from .reports import CheckLine, VerificationReport
+from .triangular import ConsistencyError, Multiplier, expand_to_monomial, faulhaber_form
 
-#: u rewritten in N: u = N^2/2 - 1/8.
+#: u rewritten in N: u = N^2/2 - 1/8. Also equals sum k.
 U_OF_SHIFT = Polynomial((Fraction(-1, 8), 0, Fraction(1, 2)))
-
-#: sum k = N^2/2 - 1/8 (same polynomial as u, read as a value).
-SUM_OF_N_SHIFTED = U_OF_SHIFT
 
 #: sum k^2 = N(N^2/3 - 1/12).
 SUM_OF_SQUARES_SHIFTED = Polynomial((0, Fraction(-1, 12), 0, Fraction(1, 3)))
@@ -84,7 +83,7 @@ def shifted_form(power: int) -> ShiftedForm:
     if power < 1:
         raise ValueError("shifted forms require power >= 1")
     if power == 1:
-        return _extract(1, SUM_OF_N_SHIFTED)
+        return _extract(1, U_OF_SHIFT)
     form = faulhaber_form(power)
     inner = form.u_polynomial().compose(U_OF_SHIFT)
     if form.multiplier is Multiplier.SUM_OF_SQUARES:
@@ -121,3 +120,29 @@ def shifted_closed_form(power: int) -> ShiftedForm:
 def shifted_to_monomial(form: ShiftedForm) -> Polynomial:
     """Substitute N = n + 1/2 to recover the plain monomial power sum."""
     return form.shift_polynomial().compose(X + Fraction(1, 2))
+
+
+def verify_roundtrip(max_power: int) -> VerificationReport:
+    """Check that both alternate bases expand back to the monomial power sum.
+
+    Triangular forms for powers 2..max_power come first, then shifted forms
+    for powers 1..max_power.
+    """
+    if max_power < 1:
+        raise ValueError("max_power must be >= 1")
+    monomial = {power: powersum_monomial(power) for power in range(1, max_power + 1)}
+    lines = [
+        CheckLine(
+            f"triangular roundtrip, power {power}",
+            expand_to_monomial(faulhaber_form(power)) == monomial[power],
+        )
+        for power in range(2, max_power + 1)
+    ]
+    lines += [
+        CheckLine(
+            f"shifted roundtrip, power {power}",
+            shifted_to_monomial(shifted_form(power)) == monomial[power],
+        )
+        for power in range(1, max_power + 1)
+    ]
+    return VerificationReport(name="roundtrip", lines=tuple(lines))

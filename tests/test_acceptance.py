@@ -133,7 +133,7 @@ def test_criterion_08_lemma_identities():
 def test_criterion_09_recurrence_consistency():
     with _Timer() as t:
         report = verify_recurrence_consistency(40)
-        assert report.passed, report.counterexample_index
+        assert report.passed, report.first_failure
     _report("A-09", "both recurrences reproduce direct constructions, m<=40", t.elapsed, 30.0)
 
 

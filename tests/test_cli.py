@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +183,14 @@ class TestEvalCommand:
         assert code == 0
         assert int(out) == (n * (n + 1) // 2) ** 2
 
+    def test_value_past_the_int_print_limit(self, capsys):
+        n = 10**2000
+        code, out, _ = run(capsys, "eval", "3", str(n))
+        assert code == 0
+        assert out.rstrip("\n").isdigit()
+        # parsed by Decimal, which str(int)'s 4300-digit limit does not cover
+        assert Decimal(out) == (n * (n + 1) // 2) ** 2
+
     def test_check_cap(self, capsys):
         code, _, err = run(capsys, "eval", "2", str(10**6 + 1), "--check")
         assert code == 2
@@ -204,6 +214,14 @@ class TestVerifyCommand:
         assert code == 0
         for name in ["odd-bernoulli", "roundtrip", "lemma", "recurrence", "constant-term"]:
             assert name in out
+
+    def test_all_matches_readme(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        prompt = "$ faulhaber verify all --max 40\n"
+        documented = readme[readme.index(prompt) + len(prompt):].split("```", 1)[0]
+        code, out, _ = run(capsys, "verify", "all", "--max", "40")
+        assert code == 0
+        assert out == documented
 
     def test_documented_invocations(self, capsys):
         assert run(capsys, "verify", "odd-bernoulli", "--max", "100")[0] == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faulhaber.polynomial import MINUS_INFINITY, Polynomial, X
+from faulhaber.polynomial import Polynomial, X
 
 F = Fraction
 
@@ -27,8 +27,8 @@ class TestCanonicalForm:
         assert Polynomial().is_zero
 
     def test_zero_degree_sentinel(self):
-        assert Polynomial().degree == MINUS_INFINITY
-        assert MINUS_INFINITY < 0
+        assert Polynomial().degree == -1
+        assert Polynomial().degree < Polynomial((5,)).degree
 
     def test_constant_degree(self):
         assert Polynomial((5,)).degree == 0

@@ -99,10 +99,10 @@ class TestOracle:
 
 class TestPartialSumIdentity:
     def test_documented_case(self):
-        report = check_partial_sum_identity(1, 3)
-        assert report.left_value == 24
-        assert report.right_value == 24
-        assert report.passed
+        # both sides of the identity at (1, 3), from the integer oracle
+        assert oracle_sum(2, 3) + sum(oracle_sum(1, k) for k in range(1, 4)) == 24
+        assert 4 * oracle_sum(1, 3) == 24
+        assert check_partial_sum_identity(1, 3).passed
 
     def test_exponent_zero(self):
         assert check_partial_sum_identity(0, 5).passed
@@ -113,8 +113,7 @@ class TestPartialSumIdentity:
                 assert check_partial_sum_identity(m, n).passed, (m, n)
 
     def test_report_carries_inputs(self):
-        report = check_partial_sum_identity(2, 4)
-        assert (report.exponent, report.upper_limit) == (2, 4)
+        assert check_partial_sum_identity(2, 4).label == "partial-sum identity, m=2, n=4"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

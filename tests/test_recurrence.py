@@ -14,6 +14,7 @@ from faulhaber.recurrence import (
     partial_sum_polynomial,
     verify_recurrence_consistency,
 )
+from faulhaber.reports import CheckLine
 
 F = Fraction
 
@@ -66,14 +67,18 @@ class TestConsistencyReport:
     def test_minimal_run_exercises_both_empty_sums(self):
         report = verify_recurrence_consistency(2)
         assert report.passed
-        assert report.flags == (True, True)
-        assert report.counterexample_index is None
+        assert report.lines == (
+            CheckLine("recurrences agree at index 1", True),
+            CheckLine("recurrences agree at index 2", True),
+        )
+        assert report.first_failure is None
 
     def test_longer_run(self):
         report = verify_recurrence_consistency(20)
         assert report.passed
-        assert report.max_index == 20
-        assert len(report.flags) == 20
+        assert report.name == "recurrence"
+        assert report.lines[-1].label == "recurrences agree at index 20"
+        assert len(report.lines) == 20
 
     def test_bound_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from faulhaber.shifted import (
     shifted_closed_form,
     shifted_form,
     shifted_to_monomial,
+    verify_roundtrip,
 )
 
 F = Fraction
@@ -110,3 +111,16 @@ class TestBackToMonomial:
     def test_handmade_form(self):
         form = ShiftedForm(1, "odd", (F(1, 2), F(-1, 8)))
         assert shifted_to_monomial(form) == powersum_monomial(1)
+
+    def test_roundtrip_suite_lists_triangular_then_shifted(self):
+        report = verify_roundtrip(3)
+        assert report.passed
+        assert [line.label for line in report.lines] == [
+            "triangular roundtrip, power 2",
+            "triangular roundtrip, power 3",
+            "shifted roundtrip, power 1",
+            "shifted roundtrip, power 2",
+            "shifted roundtrip, power 3",
+        ]
+        with pytest.raises(ValueError):
+            verify_roundtrip(0)
