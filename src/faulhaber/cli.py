@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (all verifications passed), 1 a verification suite
-found a counterexample, 2 usage error. Results go to stdout, diagnostics to
-stderr. There is no configuration beyond the flags; identical invocations
-print identical bytes.
+found a counterexample or an internal consistency check failed, 2 usage
+error. Results go to stdout, diagnostics to stderr. There is no
+configuration beyond the flags; identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bernoulli import bernoulli_at_half, bernoulli_number, bernoulli_polynomial, verify_odd_zero
@@ -25,6 +24,7 @@ from .render import (
 )
 from .shifted import shifted_closed_form, shifted_form, verify_roundtrip
 from .triangular import (
+    ConsistencyError,
     faulhaber_form,
     faulhaber_form_inductive,
     verify_constant_term_bernoulli,
@@ -33,36 +33,19 @@ from .triangular import (
 
 CHECK_LIMIT = 10**6
 
-#: verify suite -> name of the library function that runs it, in `all` order
+#: verify suite -> (name of the library function that runs it, smallest bound
+#: it accepts), in `all` order
 SUITES = {
-    "odd-bernoulli": "verify_odd_zero",
-    "roundtrip": "verify_roundtrip",
-    "lemma": "verify_lemma",
-    "recurrence": "verify_recurrence_consistency",
-    "constant-term": "verify_constant_term_bernoulli",
+    "odd-bernoulli": ("verify_odd_zero", 1),
+    "roundtrip": ("verify_roundtrip", 1),
+    "lemma": ("verify_lemma", 1),
+    "recurrence": ("verify_recurrence_consistency", 2),
+    "constant-term": ("verify_constant_term_bernoulli", 2),
 }
 
 
 class UsageError(Exception):
     """Bad flag combination or out-of-range argument; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RenderRequest:
-    """A validated powersum rendering request."""
-
-    exponent: int
-    basis: str  # monomial | triangular | shifted
-    method: str  # direct | inductive | closed
-    format: str  # plain | latex | json
-
-    def __post_init__(self) -> None:
-        if self.exponent < 1:
-            raise UsageError("exponent must be >= 1")
-        if self.method == "inductive" and self.basis != "triangular":
-            raise UsageError("method 'inductive' is only valid with basis 'triangular'")
-        if self.method == "closed" and self.basis != "shifted":
-            raise UsageError("method 'closed' is only valid with basis 'shifted'")
 
 
 def _positive_int(text: str) -> int:
@@ -79,23 +62,20 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _render_powersum(request: RenderRequest) -> str:
-    if request.basis == "monomial":
-        return render_monomial(request.exponent, powersum_monomial(request.exponent), request.format)
-    if request.basis == "triangular":
-        if request.exponent == 1:
-            return render_triangular(None, request.format)
-        build = faulhaber_form_inductive if request.method == "inductive" else faulhaber_form
-        return render_triangular(build(request.exponent), request.format)
-    build = shifted_closed_form if request.method == "closed" else shifted_form
-    return render_shifted(build(request.exponent), request.format)
-
-
 def _cmd_powersum(args: argparse.Namespace) -> int:
-    request = RenderRequest(
-        exponent=args.exponent, basis=args.basis, method=args.method, format=args.format
-    )
-    print(_render_powersum(request))
+    m, basis, method, fmt = args.exponent, args.basis, args.method, args.format
+    if method == "inductive" and basis != "triangular":
+        raise UsageError("method 'inductive' is only valid with basis 'triangular'")
+    if method == "closed" and basis != "shifted":
+        raise UsageError("method 'closed' is only valid with basis 'shifted'")
+    if basis == "monomial":
+        print(render_monomial(m, powersum_monomial(m), fmt))
+    elif basis == "triangular":
+        build = faulhaber_form_inductive if method == "inductive" else faulhaber_form
+        print(render_triangular(None if m == 1 else build(m), fmt))
+    else:
+        build = shifted_closed_form if method == "closed" else shifted_form
+        print(render_shifted(build(m), fmt))
     return 0
 
 
@@ -127,7 +107,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         exact = powersum_monomial(m)(n)
         if exact.denominator != 1:
-            raise RuntimeError(f"power sum evaluated to a non-integer {exact}")
+            raise ConsistencyError(
+                f"power sum evaluated to a non-integer "
+                f"{_digits(exact.numerator)}/{_digits(exact.denominator)}"
+            )
         value = exact.numerator
     if args.check:
         reference = oracle_sum(m, n)
@@ -140,14 +123,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = []
     for name in names:
-        # looked up at call time, so a rebinding of the module global is honoured
-        run_suite = globals()[SUITES[name]]
-        try:
-            reports.append(run_suite(args.max))
-        except ValueError as exc:
-            raise UsageError(f"suite '{name}': {exc}") from exc
+        minimum = SUITES[name][1]
+        if args.max < minimum:
+            raise UsageError(f"suite '{name}': --max must be >= {minimum}")
+    # looked up at call time, so a rebinding of the module global is honoured
+    reports = [globals()[SUITES[name][0]](args.max) for name in names]
     failed = False
     for report in reports:
         print(report.summary())
@@ -203,6 +184,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

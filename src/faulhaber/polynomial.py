@@ -14,9 +14,12 @@ from typing import Iterable, Union
 Scalar = Union[Fraction, int]
 
 
-def _coerce(value: Scalar) -> Fraction:
+def _coerce(value: Scalar | str) -> Fraction:
+    """Exact values only: an int, a Fraction, or rational text such as "1/2"."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"coefficients must be exact rationals, not {type(value).__name__}")
     return Fraction(value)
 
 
@@ -140,7 +143,9 @@ class Polynomial:
     # -- evaluation and composition ------------------------------------------
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate by Horner's rule; exact for any int or Fraction input."""
+        """Evaluate by Horner's rule at an int or a Fraction, exactly."""
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"can only evaluate at an int or Fraction, not {type(x).__name__}")
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -10,160 +10,98 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, Scalar
 from .shifted import ShiftedForm
 from .triangular import FaulhaberForm, Multiplier
 
-Term = tuple[Fraction, int]
-
-
-def _plain_terms(terms: Sequence[Term], variable: str) -> str:
-    parts: list[str] = []
-    for coeff, power in terms:
-        if coeff == 0:
-            continue
-        magnitude = abs(coeff)
-        if power == 0:
-            body = str(magnitude)
-        else:
-            var = variable if power == 1 else f"{variable}^{power}"
-            body = var if magnitude == 1 else f"{magnitude}*{var}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
 
 def _latex_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
+    return str(q) if q.denominator == 1 else rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
 
 
-def _latex_terms(terms: Sequence[Term], variable: str) -> str:
+#: The only text in which plain and LaTeX terms differ. Per format: the
+#: rational, a variable {v} to a power {k}, the product of a coefficient and its
+#: variable, and the sign before a later positive / negative term.
+_FORMATS = {
+    "plain": (str, "{v}^{k}", "*", (" + ", " - ")),
+    "latex": (_latex_rational, "{v}^{{{k}}}", "", ("+", "-")),
+}
+
+#: the triangular variable u = S1 in each text format
+_S1 = {"plain": "S1", "latex": "S_{1}"}
+
+_LATEX_MULTIPLIER = {
+    Multiplier.SUM_OF_SQUARES: r"\cdot\sum k^{2}",
+    Multiplier.SQUARE_OF_SUM: r"\cdot\left(\sum k\right)^{2}",
+}
+
+
+def _terms(poly: Polynomial, variable: str, fmt: str) -> str:
+    """poly's non-zero terms, highest power first, in a text format."""
+    rational, power, product, signs = _FORMATS[fmt]
     parts: list[str] = []
-    for coeff, power in terms:
+    for k in range(poly.degree, -1, -1):
+        coeff = poly.coeffs[k]
         if coeff == 0:
             continue
         magnitude = abs(coeff)
-        if power == 0:
-            body = _latex_rational(magnitude)
+        if k == 0:
+            body = rational(magnitude)
         else:
-            var = variable if power == 1 else f"{variable}^{{{power}}}"
-            body = var if magnitude == 1 else _latex_rational(magnitude) + var
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if coeff > 0 else f"-{body}")
-    return "".join(parts) if parts else "0"
+            var = variable if k == 1 else power.format(v=variable, k=k)
+            body = var if magnitude == 1 else rational(magnitude) + product + var
+        if parts:
+            parts.append(signs[coeff < 0])
+        elif coeff < 0:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
 
 
-def _descending(poly: Polynomial) -> list[Term]:
-    return [(poly.coefficient(k), k) for k in range(len(poly.coeffs) - 1, -1, -1)]
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload)
-
-
-# -- monomial basis -----------------------------------------------------------
+def _json(power: int, basis: str, multiplier: Optional[str], coefficients: Sequence[Scalar],
+          ordering: str) -> str:
+    """One result as JSON, keys in a fixed order."""
+    return json.dumps(dict(power=power, basis=basis, multiplier=multiplier,
+                           coefficients=[str(c) for c in coefficients], ordering=ordering))
 
 
 def render_monomial(power: int, poly: Polynomial, fmt: str) -> str:
-    if fmt == "plain":
-        return _plain_terms(_descending(poly), "n")
-    if fmt == "latex":
-        return _latex_terms(_descending(poly), "n")
-    payload = {
-        "power": power,
-        "basis": "monomial",
-        "multiplier": None,
-        "coefficients": [str(c) for c in poly.coeffs] if not poly.is_zero else ["0"],
-        "ordering": "degree-ascending",
-    }
-    return _json_text(payload)
-
-
-# -- triangular basis ---------------------------------------------------------
-
-
-def _triangular_terms(form: FaulhaberForm) -> list[Term]:
-    count = len(form.coefficients)
-    return [(c, count - 1 - i) for i, c in enumerate(form.coefficients)]
+    if fmt == "json":
+        return _json(power, "monomial", None, poly.coeffs or (0,), "degree-ascending")
+    return _terms(poly, "n", fmt)
 
 
 def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
     """Render a triangular form; None means the power 1 special case, bare S1."""
+    if fmt == "json":
+        if form is None:
+            return _json(1, "triangular", None, (1, 0), "paper-descending")
+        return _json(form.power, "triangular", form.multiplier.value, form.coefficients,
+                     "paper-descending")
     if form is None:
-        if fmt == "plain":
-            return "S1"
-        if fmt == "latex":
-            return "S_{1}"
-        payload = {
-            "power": 1,
-            "basis": "triangular",
-            "multiplier": None,
-            "coefficients": ["1", "0"],
-            "ordering": "paper-descending",
-        }
-        return _json_text(payload)
+        return _S1[fmt]
+    inner = _terms(form.u_polynomial(), _S1[fmt], fmt)
     if fmt == "plain":
-        inner = _plain_terms(_triangular_terms(form), "S1")
         return f"({inner}) * {form.multiplier.value}"
-    if fmt == "latex":
-        inner = _latex_terms(_triangular_terms(form), "S_{1}")
-        tail = (
-            r"\cdot\sum k^{2}"
-            if form.multiplier is Multiplier.SUM_OF_SQUARES
-            else r"\cdot\left(\sum k\right)^{2}"
-        )
-        return rf"\left[{inner}\right]{tail}"
-    payload = {
-        "power": form.power,
-        "basis": "triangular",
-        "multiplier": form.multiplier.value,
-        "coefficients": [str(c) for c in form.coefficients],
-        "ordering": "paper-descending",
-    }
-    return _json_text(payload)
-
-
-# -- shifted basis ------------------------------------------------------------
-
-
-def _shifted_inner_terms(form: ShiftedForm) -> list[Term]:
-    """Exponents of the rendered expression, after factoring N out of even forms."""
-    if form.parity == "even":
-        # d_i multiplies N^(2(m-i)+1); inside N*(...) that is N^(2(m-i))
-        m = form.power // 2
-        return [(c, 2 * (m - i)) for i, c in enumerate(form.coefficients)]
-    top = form.power + 1
-    return [(c, top - 2 * i) for i, c in enumerate(form.coefficients)]
+    return rf"\left[{inner}\right]" + _LATEX_MULTIPLIER[form.multiplier]
 
 
 def render_shifted(form: ShiftedForm, fmt: str) -> str:
-    if fmt == "plain":
-        inner = _plain_terms(_shifted_inner_terms(form), "N")
-        expr = f"N*({inner})" if form.parity == "even" else inner
-        return f"{expr}  where N = n + 1/2"
+    if fmt == "json":
+        return _json(form.power, "shifted", None, form.coefficients, "paper-descending")
+    poly = form.shift_polynomial()
+    even = form.parity == "even"
+    if even:
+        # an even power gives an odd polynomial in N: its N^0 slot is zero, and
+        # dropping it leaves the part inside N*(...)
+        poly = Polynomial(poly.coeffs[1:])
+    inner = _terms(poly, "N", fmt)
     if fmt == "latex":
-        inner = _latex_terms(_shifted_inner_terms(form), "N")
-        return rf"N\left({inner}\right)" if form.parity == "even" else inner
-    payload = {
-        "power": form.power,
-        "basis": "shifted",
-        "multiplier": None,
-        "coefficients": [str(c) for c in form.coefficients],
-        "ordering": "paper-descending",
-    }
-    return _json_text(payload)
-
-
-# -- bernoulli polynomials ------------------------------------------------------
+        return rf"N\left({inner}\right)" if even else inner
+    return (f"N*({inner})" if even else inner) + "  where N = n + 1/2"
 
 
 def render_polynomial_in_x(poly: Polynomial) -> str:
-    return _plain_terms(_descending(poly), "x")
+    return _terms(poly, "x", "plain")

@@ -19,7 +19,13 @@ from .bernoulli import bernoulli_at_half
 from .polynomial import Polynomial, X
 from .powersum import powersum_monomial
 from .reports import CheckLine, VerificationReport
-from .triangular import ConsistencyError, Multiplier, expand_to_monomial, faulhaber_form
+from .triangular import (
+    ConsistencyError,
+    FaulhaberForm,
+    Multiplier,
+    expand_to_monomial,
+    faulhaber_form,
+)
 
 #: u rewritten in N: u = N^2/2 - 1/8. Also equals sum k.
 U_OF_SHIFT = Polynomial((Fraction(-1, 8), 0, Fraction(1, 2)))
@@ -84,11 +90,15 @@ def shifted_form(power: int) -> ShiftedForm:
         raise ValueError("shifted forms require power >= 1")
     if power == 1:
         return _extract(1, U_OF_SHIFT)
-    form = faulhaber_form(power)
+    return _from_triangular(faulhaber_form(power))
+
+
+def _from_triangular(form: FaulhaberForm) -> ShiftedForm:
+    """Substitute u = N^2/2 - 1/8 into a triangular form and its multiplier."""
     inner = form.u_polynomial().compose(U_OF_SHIFT)
     if form.multiplier is Multiplier.SUM_OF_SQUARES:
-        return _extract(power, inner * SUM_OF_SQUARES_SHIFTED)
-    return _extract(power, inner * SQUARE_OF_SUM_SHIFTED)
+        return _extract(form.power, inner * SUM_OF_SQUARES_SHIFTED)
+    return _extract(form.power, inner * SQUARE_OF_SUM_SHIFTED)
 
 
 def shifted_closed_form(power: int) -> ShiftedForm:
@@ -126,23 +136,27 @@ def verify_roundtrip(max_power: int) -> VerificationReport:
     """Check that both alternate bases expand back to the monomial power sum.
 
     Triangular forms for powers 2..max_power come first, then shifted forms
-    for powers 1..max_power.
+    for powers 1..max_power. Each triangular form is built once and also
+    converted to give the shifted form of its power.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     monomial = {power: powersum_monomial(power) for power in range(1, max_power + 1)}
+    triangular = {power: faulhaber_form(power) for power in range(2, max_power + 1)}
+    shifted = {1: shifted_form(1)}
+    shifted.update((power, _from_triangular(form)) for power, form in triangular.items())
     lines = [
         CheckLine(
             f"triangular roundtrip, power {power}",
-            expand_to_monomial(faulhaber_form(power)) == monomial[power],
+            expand_to_monomial(form) == monomial[power],
         )
-        for power in range(2, max_power + 1)
+        for power, form in triangular.items()
     ]
     lines += [
         CheckLine(
             f"shifted roundtrip, power {power}",
-            shifted_to_monomial(shifted_form(power)) == monomial[power],
+            shifted_to_monomial(form) == monomial[power],
         )
-        for power in range(1, max_power + 1)
+        for power, form in shifted.items()
     ]
     return VerificationReport(name="roundtrip", lines=tuple(lines))

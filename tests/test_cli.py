@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +12,16 @@ from pathlib import Path
 import pytest
 
 from faulhaber import cli
+from faulhaber.polynomial import Polynomial
 from faulhaber.reports import CheckLine, VerificationReport
 
 F = Fraction
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_common", Path(__file__).parents[1] / "perfbench" / "common.py"
+)
+perfbench_common = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_common)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -132,6 +141,23 @@ class TestUsageErrors:
         assert code == 2
         assert "constant-term" in err
 
+    def test_all_checks_every_bound_before_any_suite_runs(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "verify_odd_zero", lambda max_m: calls.append(max_m))
+        code, out, err = run(capsys, "verify", "all", "--max", "1")
+        assert code == 2
+        assert calls == []
+        assert out == ""
+        assert err == "error: suite 'recurrence': --max must be >= 2\n"
+
+    @pytest.mark.parametrize("suite", list(cli.SUITES))
+    def test_suite_table_matches_library_bound(self, suite):
+        name, minimum = cli.SUITES[suite]
+        run_suite = getattr(cli, name)
+        with pytest.raises(ValueError):
+            run_suite(minimum - 1)
+        assert run_suite(minimum).passed
+
 
 class TestBernoulliCommand:
     def test_number(self, capsys):
@@ -191,6 +217,13 @@ class TestEvalCommand:
         # parsed by Decimal, which str(int)'s 4300-digit limit does not cover
         assert Decimal(out) == (n * (n + 1) // 2) ** 2
 
+    def test_internal_inconsistency_is_one_line_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "powersum_monomial", lambda m: Polynomial((0, F(1, 2))))
+        code, out, err = run(capsys, "eval", "1", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: power sum evaluated to a non-integer 1/2\n"
+
     def test_check_cap(self, capsys):
         code, _, err = run(capsys, "eval", "2", str(10**6 + 1), "--check")
         assert code == 2
@@ -237,3 +270,36 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         assert "first counterexample: B_5 = 0" in out
+
+
+class TestAgainstReference:
+    """CLI output against outcomes computed without this library.
+
+    `perfbench/expected.json` records the exit code and a stdout digest for
+    every benchmark request; `perfbench/reference.py` builds them from sympy
+    and brute-force integer sums and never imports faulhaber. `verify` and
+    `eval --check` are left out to keep the test quick: their sweeps and
+    oracle sums are the slow requests.
+    """
+
+    MAX_EXPONENT = 40
+
+    def test_small_requests_match_the_reference(self, capsys):
+        outcomes = perfbench_common.load_expected().outcomes
+        keys = sorted(
+            key
+            for key in outcomes
+            if key.split()[0] in ("powersum", "bernoulli", "eval")
+            and "--check" not in key.split()
+            and int(key.split()[1]) <= self.MAX_EXPONENT
+        )
+        # every command, and usage errors as well as successes, are in the selection
+        assert len(keys) > 700
+        assert {key.split()[0] for key in keys} == {"powersum", "bernoulli", "eval"}
+        assert {outcomes[key][0] for key in keys} == {"0", "2"}
+        mismatches = []
+        for key in keys:
+            code, out, _ = run(capsys, *key.split())
+            if perfbench_common.outcome(code, out.encode()) != outcomes[key]:
+                mismatches.append(key)
+        assert mismatches == []

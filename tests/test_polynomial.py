@@ -38,6 +38,11 @@ class TestCanonicalForm:
         assert Polynomial((0, F(1, 2), F(1, 2))) == Polynomial([0, "1/2", "1/2"])
         assert Polynomial((1,)) != Polynomial((1, 1))
 
+    @pytest.mark.parametrize("value", [0.1, True])
+    def test_inexact_or_boolean_coefficient_rejected(self, value):
+        with pytest.raises(TypeError):
+            Polynomial((value,))
+
     def test_immutable(self):
         p = Polynomial((1, 2))
         with pytest.raises(AttributeError):
@@ -110,6 +115,10 @@ class TestEvaluation:
     def test_result_is_exact_rational(self):
         value = (X - F(1, 2))(F(1, 2))
         assert value == 0 and isinstance(value, Fraction)
+
+    def test_float_argument_rejected(self):
+        with pytest.raises(TypeError):
+            X(0.5)
 
     @given(polys, polys, rationals)
     @settings(max_examples=60)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from faulhaber import shifted
 from faulhaber.powersum import powersum_monomial
 from faulhaber.shifted import (
     ShiftedForm,
@@ -124,3 +125,15 @@ class TestBackToMonomial:
         ]
         with pytest.raises(ValueError):
             verify_roundtrip(0)
+
+    def test_roundtrip_suite_builds_each_triangular_form_once(self, monkeypatch):
+        calls = []
+        build = shifted.faulhaber_form
+
+        def counted(power):
+            calls.append(power)
+            return build(power)
+
+        monkeypatch.setattr(shifted, "faulhaber_form", counted)
+        assert verify_roundtrip(20).passed
+        assert sorted(calls) == list(range(2, 21))
