@@ -10,7 +10,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from .polynomial import Polynomial
 from .reports import CheckLine, VerificationReport
@@ -58,23 +57,22 @@ class BernoulliCache:
 _DEFAULT_CACHE = BernoulliCache()
 
 
-def bernoulli_number(m: int, cache: Optional[BernoulliCache] = None) -> Fraction:
+def bernoulli_number(m: int) -> Fraction:
     """B_m in the B_1 = -1/2 convention."""
-    return (cache or _DEFAULT_CACHE).get(m)
+    return _DEFAULT_CACHE.get(m)
 
 
-def bernoulli_polynomial(m: int, cache: Optional[BernoulliCache] = None) -> Polynomial:
+def bernoulli_polynomial(m: int) -> Polynomial:
     """B_m(x) = sum(C(m, j) * B_j * x**(m-j) for j in 0..m)."""
     if m < 0:
         raise ValueError("Bernoulli polynomial index must be >= 0")
-    table = cache or _DEFAULT_CACHE
     coeffs = [Fraction(0)] * (m + 1)
     for j in range(m + 1):
-        coeffs[m - j] = comb(m, j) * table.get(j)
+        coeffs[m - j] = comb(m, j) * _DEFAULT_CACHE.get(j)
     return Polynomial(coeffs)
 
 
-def bernoulli_at_half(r: int, cache: Optional[BernoulliCache] = None) -> Fraction:
+def bernoulli_at_half(r: int) -> Fraction:
     """B_r(1/2) via the closed form (2**(1-r) - 1) * B_r.
 
     Equals bernoulli_polynomial(r) evaluated at 1/2; the two routes are
@@ -82,15 +80,15 @@ def bernoulli_at_half(r: int, cache: Optional[BernoulliCache] = None) -> Fractio
     """
     if r < 0:
         raise ValueError("index must be >= 0")
-    return (Fraction(2) ** (1 - r) - 1) * bernoulli_number(r, cache)
+    return (Fraction(2) ** (1 - r) - 1) * bernoulli_number(r)
 
 
-def verify_odd_zero(max_m: int, cache: Optional[BernoulliCache] = None) -> VerificationReport:
+def verify_odd_zero(max_m: int) -> VerificationReport:
     """Check B_(2m+1) == 0 for m = 1..max_m, values taken from the recurrence."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     lines = tuple(
-        CheckLine(f"B_{2 * m + 1} = 0", bernoulli_number(2 * m + 1, cache) == 0)
+        CheckLine(f"B_{2 * m + 1} = 0", bernoulli_number(2 * m + 1) == 0)
         for m in range(1, max_m + 1)
     )
     return VerificationReport(name="odd-bernoulli", lines=lines)

@@ -39,10 +39,6 @@ class Polynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
-        return cls((value,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

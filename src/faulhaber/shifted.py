@@ -75,13 +75,9 @@ def _extract(power: int, shift_poly: Polynomial) -> ShiftedForm:
             raise ConsistencyError(
                 f"shifted form for power {power} has a stray N^{k} term"
             )
-    if power % 2 == 0:
-        count = power // 2 + 1  # entries for N^(2m+1) .. N^1
-        coeffs = tuple(shift_poly.coefficient(top - 2 * i) for i in range(count))
-        return ShiftedForm(power, "even", coeffs)
-    count = (power - 1) // 2 + 2  # entries for N^(2m+2) .. N^2, then the constant
-    coeffs = tuple(shift_poly.coefficient(top - 2 * i) for i in range(count))
-    return ShiftedForm(power, "odd", coeffs)
+    # entries for N^top, N^(top-2), ..., down to N^1 (even power) or N^0 (odd power)
+    coeffs = tuple(shift_poly.coefficient(k) for k in range(top, -1, -2))
+    return ShiftedForm(power, "even" if power % 2 == 0 else "odd", coeffs)
 
 
 def shifted_form(power: int) -> ShiftedForm:
@@ -104,27 +100,23 @@ def _from_triangular(form: FaulhaberForm) -> ShiftedForm:
 def shifted_closed_form(power: int) -> ShiftedForm:
     """Closed-form route, straight from Bernoulli values at 1/2.
 
-    Even power 2m:  d_i = C(2m, 2i) * B_2i(1/2) / (2(m-i) + 1).
-    Odd power 2m+1: e_i = C(2m+1, 2i) * B_2i(1/2) / (2(m-i) + 2) for i <= m,
-    and the constant is forced by the sum vanishing at n = 0, i.e. N = 1/2:
+    The coefficient of N^(p+1-2i), for i = 0..p//2, is
+    c_i = C(p, 2i) * B_2i(1/2) / (p - 2i + 1); these are the d_i of an even
+    power and the e_i of an odd one. An odd power p = 2m+1 also has a
+    constant, forced by the sum vanishing at n = 0, i.e. N = 1/2:
     e_(m+1) = -sum(e_i / 4**(m-i+1)).
     """
     if power < 1:
         raise ValueError("shifted forms require power >= 1")
-    if power % 2 == 0:
-        m = power // 2
-        d = tuple(
-            Fraction(comb(2 * m, 2 * i), 2 * (m - i) + 1) * bernoulli_at_half(2 * i)
-            for i in range(m + 1)
-        )
-        return ShiftedForm(power, "even", d)
-    m = (power - 1) // 2
-    e = [
-        Fraction(comb(2 * m + 1, 2 * i), 2 * (m - i) + 2) * bernoulli_at_half(2 * i)
+    m = power // 2
+    c = [
+        Fraction(comb(power, 2 * i), power - 2 * i + 1) * bernoulli_at_half(2 * i)
         for i in range(m + 1)
     ]
-    e.append(-sum(e[i] / Fraction(4) ** (m - i + 1) for i in range(m + 1)))
-    return ShiftedForm(power, "odd", tuple(e))
+    if power % 2 == 0:
+        return ShiftedForm(power, "even", tuple(c))
+    c.append(-sum(c[i] / Fraction(4) ** (m - i + 1) for i in range(m + 1)))
+    return ShiftedForm(power, "odd", tuple(c))
 
 
 def shifted_to_monomial(form: ShiftedForm) -> Polynomial:

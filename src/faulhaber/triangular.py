@@ -145,36 +145,28 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
     (constant term)/6 of the even form below it; a nonzero residue would
     falsify the construction, so it raises ConsistencyError.
     """
-    even: dict[int, Polynomial] = {2: Polynomial((1,))}
-    odd: dict[int, Polynomial] = {3: Polynomial((1,))}
+    forms = {2: Polynomial((1,)), 3: Polynomial((1,))}
     for p in range(4, power + 1):
+        # forms[p - 2j] has the parity of p, and so the multiplier of forms[p]
+        lower = Polynomial()
+        for j in range(1, (p - 2) // 2 + 1):
+            b = Fraction(comb(p, 2 * j), p) * bernoulli_number(2 * j)
+            lower = lower + forms[p - 2 * j] * b
+        below = forms[p - 1]
         if p % 2 == 0:
-            m = (p - 2) // 2
-            lower = Polynomial()
-            for j in range(1, m + 1):
-                b = Fraction(comb(p, 2 * j), p) * bernoulli_number(2 * j)
-                lower = lower + even[p - 2 * j] * b
-            lifted = Polynomial((0, 1)) * odd[p - 1] * Fraction(3, 2)
-            even[p] = (lifted - lower) * Fraction(p, p + 1)
+            # first bridge identity: (n+1/2) f(u) (sum k)^2 = (3/2) u f(u) sum(k^2)
+            lifted = Polynomial((0, 1)) * below * Fraction(3, 2)
         else:
-            m = (p - 3) // 2
-            lower = Polynomial()
-            for i in range(1, m + 1):
-                b = Fraction(comb(p, 2 * i), p) * bernoulli_number(2 * i)
-                lower = lower + odd[p - 2 * i] * b
-            f_even = even[p - 1]
-            constant = f_even.coefficient(0)
-            if constant / 6 != bernoulli_number(p - 1):
+            if below.coefficient(0) / 6 != bernoulli_number(p - 1):
                 raise ConsistencyError(
                     f"stray linear-sum term at power {p}: constant/6 != B_{p - 1}"
                 )
             # second bridge identity: (n+1/2) f(u) sum(k^2) becomes
             # (4/3 f(u) + (f(u) - f(0))/(6u)) (sum k)^2 + (f(0)/6) sum k,
             # and the trailing piece is exactly the stray term cancelled above.
-            reduced = Polynomial(f_even.coeffs[1:])
-            g_prime = f_even * Fraction(4, 3) + reduced * Fraction(1, 6)
-            odd[p] = (g_prime - lower) * Fraction(p, p + 1)
-    return even[power] if power % 2 == 0 else odd[power]
+            lifted = below * Fraction(4, 3) + Polynomial(below.coeffs[1:]) * Fraction(1, 6)
+        forms[p] = (lifted - lower) * Fraction(p, p + 1)
+    return forms[power]
 
 
 def faulhaber_form_inductive(power: int) -> FaulhaberForm:
@@ -202,6 +194,18 @@ def square_in_triangular(power: int) -> Polynomial:
     return triangular_decompose(s * s)
 
 
+def _bridge_identities(n, s1, s2) -> tuple[bool, bool]:
+    """Whether each bridge identity holds for n, s1 = sum k and s2 = sum k^2.
+
+    Takes integers or polynomials in n alike.
+    """
+    half = Fraction(1, 2)
+    return (
+        (n + half) * s1 * s1 == s1 * s2 * Fraction(3, 2),
+        (n + half) * s2 == (s1 * Fraction(4, 3) + Fraction(1, 6)) * s1,
+    )
+
+
 def verify_lemma(max_n: int) -> VerificationReport:
     """Check both bridge identities symbolically and on integers up to max_n.
 
@@ -212,34 +216,16 @@ def verify_lemma(max_n: int) -> VerificationReport:
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    half = Fraction(1, 2)
-    sym1 = (X + half) * SQUARE_OF_SUM_OF_N == U_OF_N * SUM_OF_SQUARES_OF_N * Fraction(3, 2)
-    sym2 = (X + half) * SUM_OF_SQUARES_OF_N == (U_OF_N * Fraction(4, 3) + Fraction(1, 6)) * U_OF_N
-
-    num1 = num2 = True
-    bad1 = bad2 = None
-    for n in range(1, max_n + 1):
-        s1 = oracle_sum(1, n)
-        s2 = oracle_sum(2, n)
-        if (n + half) * s1 * s1 != Fraction(3, 2) * s1 * s2:
-            num1 = False
-            bad1 = bad1 if bad1 is not None else n
-        if (n + half) * s2 != (Fraction(4, 3) * s1 + Fraction(1, 6)) * s1:
-            num2 = False
-            bad2 = bad2 if bad2 is not None else n
-    lines = (
-        CheckLine("identity 1, polynomial", sym1),
-        CheckLine("identity 2, polynomial", sym2),
-        CheckLine(
-            f"identity 1, integers n <= {max_n}" + (f" (first failure n={bad1})" if bad1 else ""),
-            num1,
-        ),
-        CheckLine(
-            f"identity 2, integers n <= {max_n}" + (f" (first failure n={bad2})" if bad2 else ""),
-            num2,
-        ),
-    )
-    return VerificationReport(name="lemma", lines=lines)
+    symbolic = _bridge_identities(X, U_OF_N, SUM_OF_SQUARES_OF_N)
+    numeric = [
+        _bridge_identities(n, oracle_sum(1, n), oracle_sum(2, n)) for n in range(1, max_n + 1)
+    ]
+    lines = [CheckLine(f"identity {i}, polynomial", ok) for i, ok in enumerate(symbolic, 1)]
+    for i in range(len(symbolic)):
+        bad = next((n for n, oks in enumerate(numeric, 1) if not oks[i]), None)
+        failure = f" (first failure n={bad})" if bad else ""
+        lines.append(CheckLine(f"identity {i + 1}, integers n <= {max_n}{failure}", bad is None))
+    return VerificationReport(name="lemma", lines=tuple(lines))
 
 
 def verify_constant_term_bernoulli(max_m: int) -> VerificationReport:

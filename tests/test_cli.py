@@ -14,6 +14,7 @@ import pytest
 from faulhaber import cli
 from faulhaber.polynomial import Polynomial
 from faulhaber.reports import CheckLine, VerificationReport
+from faulhaber.shifted import shifted_closed_form
 
 F = Fraction
 
@@ -273,13 +274,13 @@ class TestVerifyCommand:
 
 
 class TestAgainstReference:
-    """CLI output against outcomes computed without this library.
+    """CLI output and library results against outcomes computed without this library.
 
-    `perfbench/expected.json` records the exit code and a stdout digest for
-    every benchmark request; `perfbench/reference.py` builds them from sympy
-    and brute-force integer sums and never imports faulhaber. `verify` and
-    `eval --check` are left out to keep the test quick: their sweeps and
-    oracle sums are the slow requests.
+    `perfbench/expected.json` records the exit code and a stdout (or result)
+    digest for every benchmark request; `perfbench/reference.py` builds them
+    from sympy and brute-force integer sums and never imports faulhaber.
+    `eval --check` and the `verify` sweeps past `--max 20` are left out to
+    keep the tests quick: their oracle sums are the slow requests.
     """
 
     MAX_EXPONENT = 40
@@ -302,4 +303,31 @@ class TestAgainstReference:
             code, out, _ = run(capsys, *key.split())
             if perfbench_common.outcome(code, out.encode()) != outcomes[key]:
                 mismatches.append(key)
+        assert mismatches == []
+
+    def test_verify_requests_match_the_reference(self, capsys):
+        outcomes = perfbench_common.load_expected().outcomes
+        keys = sorted(
+            key
+            for key in outcomes
+            if key.split()[0] == "verify" and int(key.split()[-1]) <= 20
+        )
+        # every suite, and the usage error of `verify all --max 1`, are in the selection
+        assert {key.split()[1] for key in keys} == {"all", *cli.SUITES}
+        assert {outcomes[key][0] for key in keys} == {"0", "2"}
+        mismatches = []
+        for key in keys:
+            code, out, _ = run(capsys, *key.split())
+            if perfbench_common.outcome(code, out.encode()) != outcomes[key]:
+                mismatches.append(key)
+        assert mismatches == []
+
+    def test_closed_form_at_high_degree_matches_the_reference(self):
+        outcomes = perfbench_common.load_expected().outcomes
+        mismatches = []
+        for power in range(100, 401):
+            form = shifted_closed_form(power)
+            text = perfbench_common.canonical("S", (power, form.parity), form.coefficients)
+            if perfbench_common.outcome(0, text) != outcomes[f"shifted_closed_form({power})"]:
+                mismatches.append(power)
         assert mismatches == []

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from faulhaber import shifted
+from faulhaber.polynomial import X
 from faulhaber.powersum import powersum_monomial
 from faulhaber.shifted import (
     ShiftedForm,
@@ -16,6 +17,7 @@ from faulhaber.shifted import (
     shifted_to_monomial,
     verify_roundtrip,
 )
+from faulhaber.triangular import ConsistencyError
 
 F = Fraction
 
@@ -92,6 +94,18 @@ class TestStructure:
     def test_constant_term_exists_only_for_odd_powers(self):
         assert shifted_form(4).shift_polynomial().coefficient(0) == 0
         assert shifted_form(5).shift_polynomial().coefficient(0) != 0
+
+    def test_stray_term_rejected(self, monkeypatch):
+        wrong = shifted.SUM_OF_SQUARES_SHIFTED + X * X
+        monkeypatch.setattr(shifted, "SUM_OF_SQUARES_SHIFTED", wrong)
+        with pytest.raises(ConsistencyError, match=r"stray N\^2 term"):
+            shifted_form(2)
+
+    def test_wrong_degree_rejected(self, monkeypatch):
+        wrong = shifted.SUM_OF_SQUARES_SHIFTED * X
+        monkeypatch.setattr(shifted, "SUM_OF_SQUARES_SHIFTED", wrong)
+        with pytest.raises(ConsistencyError, match="has degree 4, expected 3"):
+            shifted_form(2)
 
 
 class TestBackToMonomial:

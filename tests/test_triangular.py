@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faulhaber import triangular
 from faulhaber.bernoulli import bernoulli_number
 from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import oracle_sum, powersum_monomial
+from faulhaber.reports import CheckLine
 from faulhaber.triangular import (
     U_OF_N,
+    ConsistencyError,
     FaulhaberForm,
     Multiplier,
     NotTriangular,
@@ -114,6 +117,15 @@ class TestInductiveForm:
         with pytest.raises(ValueError):
             faulhaber_form_inductive(1)
 
+    def test_stray_linear_sum_term_raises(self, monkeypatch):
+        # B_4 one too high no longer cancels the constant of the power-4 form
+        exact = triangular.bernoulli_number
+        monkeypatch.setattr(
+            triangular, "bernoulli_number", lambda m: exact(m) + (1 if m == 4 else 0)
+        )
+        with pytest.raises(ConsistencyError, match="stray linear-sum term at power 5"):
+            faulhaber_form_inductive(5)
+
 
 class TestExpansion:
     def test_power_four_back_to_monomial(self):
@@ -172,6 +184,21 @@ class TestLemma:
     def test_bound_rejected(self):
         with pytest.raises(ValueError):
             verify_lemma(0)
+
+    def test_integer_failure_names_first_n(self, monkeypatch):
+        # sum(k^2) at n = 3 one too high breaks both identities on integers only
+        exact = triangular.oracle_sum
+        monkeypatch.setattr(
+            triangular, "oracle_sum", lambda m, n: exact(m, n) + (1 if (m, n) == (2, 3) else 0)
+        )
+        report = verify_lemma(5)
+        assert not report.passed
+        assert report.lines == (
+            CheckLine("identity 1, polynomial", True),
+            CheckLine("identity 2, polynomial", True),
+            CheckLine("identity 1, integers n <= 5 (first failure n=3)", False),
+            CheckLine("identity 2, integers n <= 5 (first failure n=3)", False),
+        )
 
 
 class TestConstantTermBridge:
