@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .polynomial import Polynomial
 from .reports import CheckLine, VerificationReport
@@ -23,6 +23,10 @@ class BernoulliCache:
     and nothing else; in particular the vanishing of the odd values is an
     observed consequence here, never an assumption.
 
+    The recurrence runs on integers: next to the published Fractions the
+    cache keeps every value's numerator over one common denominator, so each
+    new index is one integer sum and one Fraction.
+
     Reads of already-published indices are lock-free (entries are immutable
     Fractions appended whole); extension is serialized so concurrent callers
     never observe a partially built table.
@@ -30,6 +34,8 @@ class BernoulliCache:
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
+        self._nums: list[int] = [1]
+        self._den = 1
         self._lock = threading.Lock()
 
     @property
@@ -47,10 +53,18 @@ class BernoulliCache:
         with self._lock:
             while len(self._values) <= m:
                 n = len(self._values)
-                acc = Fraction(0)
-                for k in range(n):
-                    acc += comb(n + 1, k) * self._values[k]
-                self._values.append(-acc / (n + 1))
+                acc = 0
+                binom = 1  # C(n+1, k)
+                for k, num in enumerate(self._nums):
+                    acc += binom * num
+                    binom = binom * (n + 1 - k) // (k + 1)
+                value = Fraction(-acc, (n + 1) * self._den)
+                if self._den % value.denominator:
+                    scale = lcm(self._den, value.denominator) // self._den
+                    self._nums = [num * scale for num in self._nums]
+                    self._den *= scale
+                self._nums.append(value.numerator * (self._den // value.denominator))
+                self._values.append(value)
             return self._values[m]
 
 

@@ -9,7 +9,8 @@ comparison. All arithmetic is exact; nothing here touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int]
 
@@ -21,6 +22,12 @@ def _coerce(value: Scalar | str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"coefficients must be exact rationals, not {type(value).__name__}")
     return Fraction(value)
+
+
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of `coeffs` over their least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class Polynomial:
@@ -148,11 +155,31 @@ class Polynomial:
         return acc
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
-        """The polynomial self(inner(x)), by Horner over the polynomial ring."""
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        """The polynomial self(inner(x)), by Horner over the polynomial ring.
+
+        Horner runs on integers: with self = A/a and inner = B/b over their
+        common denominators and K = deg self, it builds
+        b**K * a * self(inner) = sum(A_k * b**(K-k) * B**k) and divides by
+        a * b**K once per output coefficient.
+        """
+        if not self.coeffs:
+            return self
+        outer, a = _over_common_denominator(self.coeffs)
+        inner_nums, b = _over_common_denominator(inner.coeffs)
+        inner_terms = [(j, y) for j, y in enumerate(inner_nums) if y]
+        acc = [outer[-1]]
+        scale = 1
+        for c in reversed(outer[:-1]):
+            scale *= b
+            out = [0] * max(1, len(acc) + len(inner_nums) - 1)
+            for i, x in enumerate(acc):
+                if x:
+                    for j, y in inner_terms:
+                        out[i + j] += x * y
+            out[0] += c * scale
+            acc = out
+        den = a * scale
+        return Polynomial(Fraction(x, den) for x in acc)
 
     # -- hashing, comparison, display ------------------------------------------
 

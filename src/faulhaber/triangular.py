@@ -19,7 +19,7 @@ from math import comb
 from typing import Literal
 
 from .bernoulli import bernoulli_number
-from .polynomial import Polynomial, X
+from .polynomial import Polynomial, X, _over_common_denominator
 from .powersum import oracle_sum, powersum_monomial
 from .reports import CheckLine, VerificationReport
 
@@ -95,29 +95,32 @@ def multiplier_polynomial(multiplier: Multiplier) -> Polynomial:
 def triangular_decompose(p: Polynomial) -> Polynomial:
     """Rewrite p(n) as q(u) with u = n(n+1)/2, or raise NotTriangular.
 
-    Strips leading terms: a degree-2d head with leading coefficient L forces
-    the u**d coefficient L * 2**d; subtracting that multiple of u**d must
+    Strips leading terms: a degree-2d head with leading coefficient c forces
+    the u**d coefficient c * 2**d; subtracting that multiple of u**d must
     again leave an even-degree (or zero) remainder, otherwise p was never a
-    polynomial in u.
+    polynomial in u. The strip runs on p's integer numerators over their
+    common denominator L, in the monic w = n**2 + n = 2u: w**d is
+    sum(C(d, j) * n**(d+j)), and its multiple c/L is (c * 2**d / L) u**d.
     """
     if p.is_zero:
         return p
     if p.degree % 2:
         raise NotTriangular(f"degree {p.degree} is odd")
     half = p.degree // 2
-    u_powers = [Polynomial((1,))]
-    for _ in range(half):
-        u_powers.append(u_powers[-1] * U_OF_N)
-    out = [Fraction(0)] * (half + 1)
-    rem = p
-    while not rem.is_zero:
-        d = rem.degree
-        if d % 2:
-            raise NotTriangular(f"stripping left an odd-degree remainder (degree {d})")
-        c = rem.leading_coefficient * 2 ** (d // 2)
-        out[d // 2] = c
-        rem = rem - u_powers[d // 2] * c
-    return Polynomial(out)
+    rem, den = _over_common_denominator(p.coeffs)
+    rem.append(0)  # the first step reads index 2 * half + 1
+    out = []
+    for d in range(half, -1, -1):
+        if rem[2 * d + 1]:
+            raise NotTriangular(f"stripping left an odd-degree remainder (degree {2 * d + 1})")
+        c = rem[2 * d]
+        if c:
+            binom = 1  # C(d, j)
+            for j in range(d + 1):
+                rem[d + j] -= c * binom
+                binom = binom * (d - j) // (j + 1)
+        out.append(Fraction(c << d, den))
+    return Polynomial(reversed(out))
 
 
 def faulhaber_form(power: int) -> FaulhaberForm:

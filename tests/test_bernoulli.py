@@ -3,11 +3,14 @@ Akiyama-Tanigawa oracle that shares nothing with the recurrence in the package."
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faulhaber.bernoulli import (
     BernoulliCache,
@@ -35,6 +38,19 @@ def akiyama_tanigawa(n: int) -> list[Fraction]:
 
 
 ORACLE = akiyama_tanigawa(60)
+
+
+def fraction_recurrence(n: int) -> list[Fraction]:
+    """B_0..B_n from sum(C(m+1, k) B_k, k = 0..m) = 0 on plain Fractions."""
+    out = [F(1)]
+    for m in range(1, n + 1):
+        out.append(-sum(comb(m + 1, k) * out[k] for k in range(m)) / (m + 1))
+    return out
+
+
+RECURRENCE = fraction_recurrence(150)
+ONE_SHOT = BernoulliCache()
+ONE_SHOT.get(300)
 
 
 class TestNumbers:
@@ -102,6 +118,46 @@ class TestCache:
             t.join()
         for idx, value in results.items():
             assert value == ORACLE[40 + idx % 7]
+
+    @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_growth_in_random_steps_matches_one_shot_fill(self, steps):
+        cache = BernoulliCache()
+        target = 0
+        for step in steps:
+            target = min(150, target + step)
+            cache.get(target)
+        assert cache.high_water == target
+        values = [cache.get(m) for m in range(151)]
+        assert values == [ONE_SHOT.get(m) for m in range(151)]
+        assert values == RECURRENCE
+
+    def test_threads_extending_to_different_targets_read_the_same_values(self):
+        cache = BernoulliCache()
+        targets = [60, 300, 95, 240, 130, 175, 210, 280]
+        start = threading.Barrier(len(targets))
+        results: dict[int, list[Fraction]] = {}
+
+        def worker(target: int) -> None:
+            start.wait()
+            cache.get(target)
+            results[target] = [cache.get(m) for m in range(target + 1)]
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert cache.high_water == 300
+        for target, values in results.items():
+            assert values == [ONE_SHOT.get(m) for m in range(target + 1)], target
+        assert results[300][:151] == RECURRENCE
 
 
 class TestPolynomials:

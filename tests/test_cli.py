@@ -12,9 +12,12 @@ from pathlib import Path
 import pytest
 
 from faulhaber import cli
+from faulhaber.bernoulli import bernoulli_polynomial
 from faulhaber.polynomial import Polynomial
+from faulhaber.powersum import powersum_via_bernoulli_poly
 from faulhaber.reports import CheckLine, VerificationReport
-from faulhaber.shifted import shifted_closed_form
+from faulhaber.shifted import shifted_closed_form, shifted_form, shifted_to_monomial
+from faulhaber.triangular import expand_to_monomial, faulhaber_form
 
 F = Fraction
 
@@ -330,4 +333,30 @@ class TestAgainstReference:
             text = perfbench_common.canonical("S", (power, form.parity), form.coefficients)
             if perfbench_common.outcome(0, text) != outcomes[f"shifted_closed_form({power})"]:
                 mismatches.append(power)
+        assert mismatches == []
+
+    def test_library_at_the_standard_degrees_matches_the_reference(self):
+        outcomes = perfbench_common.load_expected().outcomes
+        canonical = perfbench_common.canonical
+        results = {}
+        for power in (100, 150, 200, 300, 400):
+            form = faulhaber_form(power)
+            shifted = shifted_form(power)
+            header = (power, form.parity, form.multiplier.value)
+            results[f"faulhaber_form({power})"] = canonical("T", header, form.coefficients)
+            results[f"shifted_form({power})"] = canonical(
+                "S", (power, shifted.parity), shifted.coefficients
+            )
+            for name, poly in (
+                ("expand_to_monomial", expand_to_monomial(form)),
+                ("shifted_to_monomial", shifted_to_monomial(shifted)),
+                ("powersum_via_bernoulli_poly", powersum_via_bernoulli_poly(power)),
+                ("bernoulli_polynomial", bernoulli_polynomial(power)),
+            ):
+                results[f"{name}({power})"] = canonical("P", (), poly.coeffs)
+        assert len(results) == 30
+        mismatches = [
+            key for key, text in results.items()
+            if perfbench_common.outcome(0, text) != outcomes[key]
+        ]
         assert mismatches == []

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faulhaber.polynomial import Polynomial, X
@@ -16,6 +16,24 @@ F = Fraction
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 polys = st.lists(rationals, max_size=6).map(Polynomial)
 small_polys = st.lists(rationals, max_size=4).map(Polynomial)
+# zero entries often, so compositions see gaps and zero or constant operands
+gappy = st.one_of(st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_denominator=60))
+wide_lists = st.lists(gappy, max_size=31)
+narrow_lists = st.lists(gappy, max_size=4)
+
+
+def reference_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Fraction]:
+    """outer(inner(x)) by Horner on plain Fraction lists, low-to-high."""
+    acc: list[Fraction] = []
+    for c in reversed(outer):
+        product = [F(0)] * (len(acc) + len(inner))
+        for i, a in enumerate(acc):
+            for j, b in enumerate(inner):
+                product[i + j] += a * b
+        acc = [c + product[0]] + product[1:] if product else [c]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
 
 
 class TestCanonicalForm:
@@ -144,6 +162,17 @@ class TestComposition:
     @settings(max_examples=60)
     def test_compose_commutes_with_evaluation(self, p, q, x):
         assert p.compose(q)(x) == p(q(x))
+
+    @given(st.one_of(st.tuples(wide_lists, narrow_lists), st.tuples(narrow_lists, wide_lists)))
+    @example(([], [F(1), F(2)]))
+    @example(([F(3), F(-1, 2)], []))
+    @example(([F(3), F(-1, 2), F(5, 7)], [F(-2, 9)]))
+    @example(([F(-1, 3)], [F(0), F(0), F(0), F(7, 4)]))
+    @settings(max_examples=60, deadline=None)
+    def test_compose_matches_fraction_horner(self, lists):
+        outer, inner = lists
+        expected = reference_compose(outer, inner)
+        assert Polynomial(outer).compose(Polynomial(inner)).coeffs == tuple(expected)
 
 
 class TestDivision:

@@ -34,6 +34,35 @@ F = Fraction
 u_coefficient_lists = st.lists(
     st.fractions(min_value=-6, max_value=6, max_denominator=10), max_size=11
 )
+wide_u_coefficient_lists = st.lists(
+    st.one_of(st.just(F(0)), st.fractions(min_value=-40, max_value=40, max_denominator=50)),
+    max_size=16,
+)
+
+
+def reference_strip(p: list[Fraction]) -> str | None:
+    """The NotTriangular message of stripping leading multiples of u**d off p
+    on plain Fraction lists, or None when nothing odd is left over."""
+    u_powers = [[F(1)]]
+    while len(u_powers[-1]) < len(p):
+        last = u_powers[-1]
+        nxt = [F(0)] * (len(last) + 2)
+        for i, c in enumerate(last):
+            nxt[i + 1] += c / 2
+            nxt[i + 2] += c / 2
+        u_powers.append(nxt)
+    rem = list(p)
+    while True:
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            return None
+        d = len(rem) - 1
+        if d % 2:
+            return f"stripping left an odd-degree remainder (degree {d})"
+        c = rem[-1] * 2 ** (d // 2)
+        for i, b in enumerate(u_powers[d // 2]):
+            rem[i] -= c * b
 
 
 class TestDecompose:
@@ -63,6 +92,28 @@ class TestDecompose:
     def test_roundtrip_from_u_side(self, coeffs):
         q = Polynomial(coeffs)
         assert triangular_decompose(q.compose(U_OF_N)) == q
+
+    @given(wide_u_coefficient_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_with_gaps_and_large_coefficients(self, coeffs):
+        q = Polynomial(coeffs)
+        assert triangular_decompose(q.compose(U_OF_N)) == q
+
+    @given(
+        st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=50), min_size=2, max_size=16),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_odd_term_below_the_top_raises_like_the_reference_strip(self, coeffs, data):
+        q = Polynomial(coeffs[:-1] + [coeffs[-1] or F(1)])
+        k = data.draw(st.integers(min_value=0, max_value=q.degree - 1), label="k")
+        c = data.draw(st.fractions(max_denominator=50).filter(bool), label="c")
+        p = q.compose(U_OF_N) + Polynomial([0] * (2 * k + 1) + [c])
+        message = reference_strip(list(p.coeffs))
+        assert message is not None
+        with pytest.raises(NotTriangular) as caught:
+            triangular_decompose(p)
+        assert str(caught.value) == message
 
 
 class TestDirectForm:
