@@ -61,47 +61,48 @@ class Polynomial:
             raise ValueError("coefficient index must be >= 0")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     # -- ring operations ----------------------------------------------------
+
+    @staticmethod
+    def combination(terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":
+        """The sum of c * p over the (c, p) pairs in `terms`.
+
+        Each p is taken as integer numerators over its common denominator d,
+        so c * p = (c.numerator * numerators) / (c.denominator * d). The sum
+        runs on integers over the lcm of those denominators, which is divided
+        out once per output coefficient.
+        """
+        scaled = [(c, *_over_common_denominator(p.coeffs)) for c, p in terms if c and p.coeffs]
+        den = lcm(*(c.denominator * d for c, _, d in scaled))
+        out = [0] * max((len(nums) for _, nums, _ in scaled), default=0)
+        for c, nums, d in scaled:
+            a = c.numerator * (den // (c.denominator * d))
+            for i, x in enumerate(nums):
+                out[i] += a * x
+        return Polynomial(Fraction(x, den) for x in out)
 
     def __add__(self, other: "Polynomial" | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial.combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial.combination(((-1, self),))
 
     def __sub__(self, other: "Polynomial" | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "Polynomial":
-        return Polynomial((other,)) - self
+        return Polynomial.combination(((1, self), (-1, other)))
 
     def __mul__(self, other: "Polynomial" | Scalar) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial()
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            return Polynomial.combination(((other, self),))
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -115,14 +116,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial((1,))
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Long division over the rationals: self = q*other + r, deg r < deg other."""

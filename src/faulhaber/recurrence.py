@@ -20,28 +20,28 @@ from .reports import CheckLine, VerificationReport
 
 
 def _he_ricci_table(m: int) -> list[Polynomial]:
-    """B_0(x)..B_m(x), each built from the entries before it."""
-    half = Fraction(1, 2)
+    """B_0(x)..B_m(x), each built from the entries before it in one combination."""
     table: list[Polynomial] = [Polynomial((1,))]
     for i in range(1, m + 1):
-        tail = Polynomial()
-        for r in range(0, i - 1):
-            tail = tail + table[r] * (comb(i, r) * bernoulli_number(i - r))
-        table.append((X - half) * table[i - 1] - tail * Fraction(1, i))
+        prev, scale = table[i - 1], Fraction(1, i)
+        tail = [(-scale * comb(i, r) * bernoulli_number(i - r), table[r]) for r in range(i - 1)]
+        # (x - 1/2) B_(i-1) minus the scaled tail
+        table.append(Polynomial.combination([(1, X * prev), (Fraction(-1, 2), prev)] + tail))
     return table
 
 
 def _partial_sum_table(m: int) -> list[Optional[Polynomial]]:
-    """None, then S_1(x)..S_m(x), each built from the entries before it."""
+    """None, then S_1(x)..S_m(x), each built from the entries before it in one combination."""
     half = Fraction(1, 2)
     table: list[Optional[Polynomial]] = [None, Polynomial((0, half, half))]
     for i in range(2, m + 1):
-        tail = Polynomial()
-        for r in range(1, i - 1):
-            # only B_2 .. B_(i-1) may enter; B_1's sign convention must stay out
-            assert 2 <= i - r <= i - 1
-            tail = tail + table[r] * (comb(i, r) * bernoulli_number(i - r))
-        table.append(((X + half) * table[i - 1] * i - tail) * Fraction(1, i + 1))
+        prev, scale = table[i - 1], Fraction(1, i + 1)
+        lower = range(1, i - 1)
+        # only B_2 .. B_(i-1) may enter; B_1's sign convention must stay out
+        assert all(2 <= i - r <= i - 1 for r in lower)
+        tail = [(-scale * comb(i, r) * bernoulli_number(i - r), table[r]) for r in lower]
+        # (i (x + 1/2) S_(i-1) - sum) / (i + 1), with the tail already scaled
+        table.append(Polynomial.combination([(i * scale, X * prev), (i * scale / 2, prev)] + tail))
     return table
 
 

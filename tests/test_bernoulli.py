@@ -176,7 +176,7 @@ class TestPolynomials:
 
     def test_leading_coefficient_is_one(self):
         for m in range(20):
-            assert bernoulli_polynomial(m).leading_coefficient == 1
+            assert bernoulli_polynomial(m).coeffs[-1] == 1
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from faulhaber import cli
+from faulhaber import cli, powersum
 from faulhaber.bernoulli import bernoulli_polynomial
 from faulhaber.polynomial import Polynomial
 from faulhaber.powersum import powersum_via_bernoulli_poly
@@ -227,6 +227,16 @@ class TestEvalCommand:
         assert code == 1
         assert out == ""
         assert err == "error: power sum evaluated to a non-integer 1/2\n"
+
+    def test_nonzero_odd_bernoulli_is_one_line_exit_one(self, capsys, monkeypatch):
+        exact = powersum.bernoulli_number
+        monkeypatch.setattr(
+            powersum, "bernoulli_number", lambda j: exact(j) + (1 if j == 5 else 0)
+        )
+        code, out, err = run(capsys, "powersum", "5", "--basis", "triangular")
+        assert code == 1
+        assert out == ""
+        assert err == "error: power sum for exponent 5 is not divisible by Sum(k)^2\n"
 
     def test_check_cap(self, capsys):
         code, _, err = run(capsys, "eval", "2", str(10**6 + 1), "--check")

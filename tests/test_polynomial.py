@@ -20,6 +20,9 @@ small_polys = st.lists(rationals, max_size=4).map(Polynomial)
 gappy = st.one_of(st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_denominator=60))
 wide_lists = st.lists(gappy, max_size=31)
 narrow_lists = st.lists(gappy, max_size=4)
+wide_polys = wide_lists.map(Polynomial)
+scalars = st.one_of(st.just(0), st.integers(-30, 30), gappy)
+terms_lists = st.lists(st.tuples(scalars, wide_polys), max_size=6)
 
 
 def reference_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Fraction]:
@@ -34,6 +37,25 @@ def reference_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Frac
     while acc and acc[-1] == 0:
         acc.pop()
     return acc
+
+
+def reference_combination(terms) -> tuple[Fraction, ...]:
+    """sum(c * p) by plain Fraction arithmetic, coefficient by coefficient."""
+    out: list[Fraction] = []
+    for c, p in terms:
+        out += [F(0)] * (len(p.coeffs) - len(out))
+        for i, x in enumerate(p.coeffs):
+            out[i] += c * x
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    assert not p.coeffs or p.coeffs[-1] != 0
+    for c in p.coeffs:
+        assert type(c) is Fraction and c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
 
 
 class TestCanonicalForm:
@@ -98,10 +120,6 @@ class TestArithmetic:
         assert Polynomial((2, 4)) * F(1, 2) == Polynomial((1, 2))
         assert 0 * Polynomial((2, 4)) == Polynomial()
 
-    def test_pow(self):
-        assert (X + 1) ** 2 == Polynomial((1, 2, 1))
-        assert X**0 == Polynomial((1,))
-
     @given(polys, polys, polys)
     @settings(max_examples=60)
     def test_ring_axioms(self, p, q, r):
@@ -120,6 +138,52 @@ class TestArithmetic:
             assert (p * q).is_zero
         else:
             assert (p * q).degree == p.degree + q.degree
+
+
+class TestCombination:
+    @given(terms_lists)
+    @example([])
+    @example([(0, X), (F(0), Polynomial((1, 2)))])
+    @example([(3, Polynomial())])
+    @example([(F(2, 3), Polynomial((1, F(1, 2), 3))), (-2, Polynomial((F(1, 3), F(1, 6), 1)))])
+    @example([(1, Polynomial((1, 0, F(5, 4)))), (F(-5, 4), Polynomial((0, 1, 1)))])
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fraction_sum(self, terms):
+        result = Polynomial.combination(terms)
+        assert result.coeffs == reference_combination(terms)
+        assert_canonical(result)
+
+    @given(terms_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_terms_and_their_negations_cancel_to_zero(self, terms):
+        assert Polynomial.combination(terms + [(-c, p) for c, p in terms]).is_zero
+
+    @given(wide_lists, wide_lists, gappy.filter(bool), scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_cancelled_top_degree_is_stripped(self, a, b, lead, c):
+        # p and q share degree and leading coefficient, so c*p - c*q loses the top
+        size = max(len(a), len(b))
+        p = Polynomial(a + [F(0)] * (size - len(a)) + [lead])
+        q = Polynomial(b + [F(0)] * (size - len(b)) + [lead])
+        result = Polynomial.combination([(c, p), (-c, q)])
+        assert result.coeffs == reference_combination([(c, p), (-c, q)])
+        assert result.degree < p.degree
+        assert_canonical(result)
+
+    @given(wide_polys, wide_polys, scalars)
+    @example(Polynomial(), Polynomial(), 0)
+    @example(Polynomial((1, 2, 3)), Polynomial((4, 5, 3)), F(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_linear_operators_match_fraction_sum(self, p, q, c):
+        for result, terms in (
+            (p + q, [(1, p), (1, q)]),
+            (p - q, [(1, p), (-1, q)]),
+            (-p, [(-1, p)]),
+            (c * p, [(c, p)]),
+            (p * c, [(c, p)]),
+        ):
+            assert result.coeffs == reference_combination(terms)
+            assert_canonical(result)
 
 
 class TestEvaluation:

@@ -39,7 +39,7 @@ class TestMonomialPolynomials:
         for m in range(1, 25):
             p = powersum_monomial(m)
             assert p.degree == m + 1
-            assert p.leading_coefficient == F(1, m + 1)
+            assert p.coeffs[-1] == F(1, m + 1)
 
     def test_linear_coefficient_vanishes_for_odd_exponents(self):
         # exponents 3, 5, 7, ... have no n^1 term

@@ -3,13 +3,14 @@ identities, and the constant-term link back to the Bernoulli numbers."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faulhaber import triangular
+from faulhaber import powersum, triangular
 from faulhaber.bernoulli import bernoulli_number
 from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import oracle_sum, powersum_monomial
@@ -149,6 +150,17 @@ class TestDirectForm:
         form = faulhaber_form(4)
         assert form.u_polynomial() == Polynomial((F(-1, 5), F(6, 5)))
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_nonzero_odd_bernoulli_breaks_divisibility(self, monkeypatch, k):
+        # the converse, contrapositively: B_(2k+1) != 0 gives S_(2k+1) a linear
+        # term, which the n^2 in (sum k)^2 cannot divide
+        exact = powersum.bernoulli_number
+        monkeypatch.setattr(
+            powersum, "bernoulli_number", lambda j: exact(j) + (1 if j == 2 * k + 1 else 0)
+        )
+        with pytest.raises(ConsistencyError, match=r"not divisible by Sum\(k\)\^2"):
+            faulhaber_form(2 * k + 1)
+
 
 class TestInductiveForm:
     def test_power_four(self):
@@ -238,9 +250,11 @@ class TestLemma:
 
     def test_integer_failure_names_first_n(self, monkeypatch):
         # sum(k^2) at n = 3 one too high breaks both identities on integers only
-        exact = triangular.oracle_sum
+        exact = triangular._running_sums
         monkeypatch.setattr(
-            triangular, "oracle_sum", lambda m, n: exact(m, n) + (1 if (m, n) == (2, 3) else 0)
+            triangular,
+            "_running_sums",
+            lambda max_n: ((n, s1, s2 + (1 if n == 3 else 0)) for n, s1, s2 in exact(max_n)),
         )
         report = verify_lemma(5)
         assert not report.passed
@@ -250,6 +264,14 @@ class TestLemma:
             CheckLine("identity 1, integers n <= 5 (first failure n=3)", False),
             CheckLine("identity 2, integers n <= 5 (first failure n=3)", False),
         )
+
+    def test_integer_sweep_is_linear(self):
+        # summing 1..n afresh for every n would take minutes at this bound
+        start = time.perf_counter()
+        report = verify_lemma(20_000)
+        elapsed = time.perf_counter() - start
+        assert report.passed, report.first_failure
+        assert elapsed < 5.0, f"verify_lemma(20000) exceeded its 5 s budget ({elapsed:.2f} s)"
 
 
 class TestConstantTermBridge:
