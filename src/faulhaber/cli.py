@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .bernoulli import bernoulli_at_half, bernoulli_number, bernoulli_polynomial, verify_odd_zero
 from .powersum import oracle_sum, powersum_monomial
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,14 +8,12 @@ comparison. All arithmetic is exact; nothing here touches floating point.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[Fraction, int]
 
 
-def _coerce(value: Scalar | str) -> Fraction:
+def _coerce(value: Fraction | int | str) -> Fraction:
     """Exact values only: an int, a Fraction, or rational text such as "1/2"."""
     if isinstance(value, Fraction):
         return value
@@ -37,7 +35,7 @@ class Polynomial:
 
     coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+    def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
         cs = [_coerce(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -64,7 +62,7 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     @staticmethod
-    def combination(terms: Iterable[tuple[Scalar, "Polynomial"]]) -> "Polynomial":
+    def combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Polynomial:
         """The sum of c * p over the (c, p) pairs in `terms`.
 
         Each p is taken as integer numerators over its common denominator d,
@@ -81,7 +79,7 @@ class Polynomial:
                 out[i] += a * x
         return Polynomial(Fraction(x, den) for x in out)
 
-    def __add__(self, other: "Polynomial" | Scalar) -> "Polynomial":
+    def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
@@ -90,17 +88,17 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
+    def __neg__(self) -> Polynomial:
         return Polynomial.combination(((-1, self),))
 
-    def __sub__(self, other: "Polynomial" | Scalar) -> "Polynomial":
+    def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
         return Polynomial.combination(((1, self), (-1, other)))
 
-    def __mul__(self, other: "Polynomial" | Scalar) -> "Polynomial":
+    def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             return Polynomial.combination(((other, self),))
         if not isinstance(other, Polynomial):
@@ -117,7 +115,7 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+    def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Long division over the rationals: self = q*other + r, deg r < deg other."""
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -138,7 +136,7 @@ class Polynomial:
 
     # -- evaluation and composition ------------------------------------------
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: Fraction | int) -> Fraction:
         """Evaluate by Horner's rule at an int or a Fraction, exactly."""
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise TypeError(f"can only evaluate at an int or Fraction, not {type(x).__name__}")
@@ -147,7 +145,7 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "Polynomial") -> "Polynomial":
+    def compose(self, inner: Polynomial) -> Polynomial:
         """The polynomial self(inner(x)), by Horner over the polynomial ring.
 
         Horner runs on integers: with self = A/a and inner = B/b over their

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from .bernoulli import bernoulli_number, bernoulli_polynomial
 from .polynomial import Polynomial, X
@@ -30,10 +29,10 @@ def _he_ricci_table(m: int) -> list[Polynomial]:
     return table
 
 
-def _partial_sum_table(m: int) -> list[Optional[Polynomial]]:
+def _partial_sum_table(m: int) -> list[Polynomial | None]:
     """None, then S_1(x)..S_m(x), each built from the entries before it in one combination."""
     half = Fraction(1, 2)
-    table: list[Optional[Polynomial]] = [None, Polynomial((0, half, half))]
+    table: list[Polynomial | None] = [None, Polynomial((0, half, half))]
     for i in range(2, m + 1):
         prev, scale = table[i - 1], Fraction(1, i + 1)
         lower = range(1, i - 1)

@@ -8,11 +8,10 @@ JSON keeps full coefficient lists so it round-trips.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .polynomial import Polynomial, Scalar
+from .polynomial import Polynomial
 from .shifted import ShiftedForm
 from .triangular import FaulhaberForm, Multiplier
 
@@ -60,9 +59,11 @@ def _terms(poly: Polynomial, variable: str, fmt: str) -> str:
     return "".join(parts) or "0"
 
 
-def _json(power: int, basis: str, multiplier: Optional[str], coefficients: Sequence[Scalar],
+def _json(power: int, basis: str, multiplier: str | None, coefficients: Sequence[Fraction | int],
           ordering: str) -> str:
     """One result as JSON, keys in a fixed order."""
+    import json  # only JSON output pays for the import
+
     return json.dumps(dict(power=power, basis=basis, multiplier=multiplier,
                            coefficients=[str(c) for c in coefficients], ordering=ordering))
 

@@ -10,15 +10,13 @@ against the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Literal
 
 from .bernoulli import bernoulli_at_half
 from .polynomial import Polynomial, X
 from .powersum import powersum_monomial
-from .reports import CheckLine, VerificationReport
+from .reports import CheckLine, Record, VerificationReport
 from .triangular import (
     ConsistencyError,
     FaulhaberForm,
@@ -37,21 +35,24 @@ SUM_OF_SQUARES_SHIFTED = Polynomial((0, Fraction(-1, 12), 0, Fraction(1, 3)))
 SQUARE_OF_SUM_SHIFTED = U_OF_SHIFT * U_OF_SHIFT
 
 
-@dataclass(frozen=True)
-class ShiftedForm:
+class ShiftedForm(Record):
     """One power sum as a single-parity polynomial in N = n + 1/2.
 
-    Even power 2m: coefficients d_0..d_m multiplying N^(2m+1), N^(2m-1),
-    ..., N (m+1 entries, one more than the triangular list because the
-    multiplier contributes a coefficient of its own after substitution).
+    `parity` is "even" or "odd". Even power 2m: coefficients d_0..d_m
+    multiplying N^(2m+1), N^(2m-1), ..., N (m+1 entries, one more than the
+    triangular list because the multiplier contributes a coefficient of its
+    own after substitution).
     Odd power 2m+1: coefficients e_0..e_(m+1) multiplying N^(2m+2), N^(2m),
     ..., N^2, 1; the trailing entry is the constant term, which exists only
     in this parity.
     """
 
-    power: int
-    parity: Literal["even", "odd"]
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("power", "parity", "coefficients")
+
+    def __init__(self, power: int, parity: str, coefficients: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def shift_polynomial(self) -> Polynomial:
         """The form as a low-to-high polynomial in N."""

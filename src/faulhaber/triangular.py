@@ -12,17 +12,15 @@ oracle and they must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Literal
 
 from .bernoulli import bernoulli_number
 from .polynomial import Polynomial, X, _over_common_denominator
 from .powersum import powersum_monomial
-from .reports import CheckLine, VerificationReport
+from .reports import CheckLine, Record, VerificationReport
 
 
 class NotTriangular(ValueError):
@@ -55,19 +53,22 @@ SUM_OF_SQUARES_OF_N = Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1,
 SQUARE_OF_SUM_OF_N = U_OF_N * U_OF_N
 
 
-@dataclass(frozen=True)
-class FaulhaberForm:
+class FaulhaberForm(Record):
     """One power sum written as coefficients-in-u times a fixed multiplier.
 
-    `coefficients` is ordered highest u-power first: entry i multiplies
-    u**(count-1-i), where count = len(coefficients) = power // 2. The last
-    entry is the constant term.
+    `parity` is "even" or "odd". `coefficients` is ordered highest u-power
+    first: entry i multiplies u**(count-1-i), where count = len(coefficients)
+    = power // 2. The last entry is the constant term.
     """
 
-    power: int
-    parity: Literal["even", "odd"]
-    coefficients: tuple[Fraction, ...]
-    multiplier: Multiplier
+    __slots__ = ("power", "parity", "coefficients", "multiplier")
+
+    def __init__(self, power: int, parity: str, coefficients: tuple[Fraction, ...],
+                 multiplier: Multiplier) -> None:
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "multiplier", multiplier)
 
     def u_polynomial(self) -> Polynomial:
         """The coefficient list as a low-to-high polynomial in u."""

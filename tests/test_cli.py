@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -370,3 +371,19 @@ class TestAgainstReference:
             if perfbench_common.outcome(0, text) != outcomes[key]
         ]
         assert mismatches == []
+
+
+class TestStartup:
+    def test_cli_import_loads_no_heavy_stdlib_module(self):
+        # -S keeps site (and whatever .pth files it runs) out of the picture,
+        # so only the library's own imports count
+        src = str(Path(__file__).parents[1] / "src")
+        snippet = (
+            f"import sys; sys.path.insert(0, {src!r}); import faulhaber.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'typing')"
+            " if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", snippet], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.split() == []
