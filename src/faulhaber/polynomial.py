@@ -3,7 +3,9 @@
 Coefficients are `fractions.Fraction` values stored low-to-high, so index =
 degree. The zero polynomial is the empty coefficient tuple and every
 constructor strips trailing zeros, which makes equality plain sequence
-comparison. All arithmetic is exact; nothing here touches floating point.
+comparison. All arithmetic is exact. Every kernel but long division reads
+its operands as integer numerators over a common denominator, runs on
+integers, and divides that denominator out once per output coefficient.
 """
 
 from __future__ import annotations
@@ -13,12 +15,19 @@ from fractions import Fraction
 from math import lcm
 
 
+def _exact(value: object, message: str) -> Fraction | int:
+    """`value` if it is an int or a Fraction (never a bool), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{message}, not {type(value).__name__}")
+    return value
+
+
 def _coerce(value: Fraction | int | str) -> Fraction:
     """Exact values only: an int, a Fraction, or rational text such as "1/2"."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"coefficients must be exact rationals, not {type(value).__name__}")
+    if not isinstance(value, str):
+        _exact(value, "coefficients must be exact rationals")
     return Fraction(value)
 
 
@@ -26,6 +35,33 @@ def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int
     """Integer numerators of `coeffs` over their least common denominator."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer coefficients of the product of two coefficient lists, low-to-high."""
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * max(1, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b_terms:
+                out[i + j] += x * y
+    return out
+
+
+def _horner(coeffs: Sequence[Fraction], inner: list[int], b: int) -> list[Fraction]:
+    """Coefficients of p(inner / b), where p = A/a has coefficients `coeffs`.
+
+    Horner's rule builds b**K * a * p(inner / b) = sum(A_k * b**(K-k) * inner**k)
+    on integers, K = deg p, and divides by a * b**K once per output coefficient.
+    """
+    nums, a = _over_common_denominator(coeffs)
+    acc, scale = nums[-1:] or [0], 1
+    for c in reversed(nums[:-1]):
+        scale *= b
+        acc = _convolve(acc, inner)
+        acc[0] += c * scale
+    den = a * scale
+    return [Fraction(x, den) for x in acc]
 
 
 class Polynomial:
@@ -63,13 +99,8 @@ class Polynomial:
 
     @staticmethod
     def combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Polynomial:
-        """The sum of c * p over the (c, p) pairs in `terms`.
-
-        Each p is taken as integer numerators over its common denominator d,
-        so c * p = (c.numerator * numerators) / (c.denominator * d). The sum
-        runs on integers over the lcm of those denominators, which is divided
-        out once per output coefficient.
-        """
+        """The sum of c * p over the (c, p) pairs in `terms`; each c is an int or a Fraction."""
+        terms = [(_exact(c, "scalars must be an int or Fraction"), p) for c, p in terms]
         scaled = [(c, *_over_common_denominator(p.coeffs)) for c, p in terms if c and p.coeffs]
         den = lcm(*(c.denominator * d for c, _, d in scaled))
         out = [0] * max((len(nums) for _, nums, _ in scaled), default=0)
@@ -103,15 +134,10 @@ class Polynomial:
             return Polynomial.combination(((other, self),))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Polynomial(out)
+        a, da = _over_common_denominator(self.coeffs)
+        b, db = _over_common_denominator(other.coeffs)
+        den = da * db
+        return Polynomial(Fraction(x, den) for x in _convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -138,39 +164,12 @@ class Polynomial:
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Evaluate by Horner's rule at an int or a Fraction, exactly."""
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise TypeError(f"can only evaluate at an int or Fraction, not {type(x).__name__}")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        _exact(x, "can only evaluate at an int or Fraction")
+        return _horner(self.coeffs, [x.numerator], x.denominator)[0]
 
     def compose(self, inner: Polynomial) -> Polynomial:
-        """The polynomial self(inner(x)), by Horner over the polynomial ring.
-
-        Horner runs on integers: with self = A/a and inner = B/b over their
-        common denominators and K = deg self, it builds
-        b**K * a * self(inner) = sum(A_k * b**(K-k) * B**k) and divides by
-        a * b**K once per output coefficient.
-        """
-        if not self.coeffs:
-            return self
-        outer, a = _over_common_denominator(self.coeffs)
-        inner_nums, b = _over_common_denominator(inner.coeffs)
-        inner_terms = [(j, y) for j, y in enumerate(inner_nums) if y]
-        acc = [outer[-1]]
-        scale = 1
-        for c in reversed(outer[:-1]):
-            scale *= b
-            out = [0] * max(1, len(acc) + len(inner_nums) - 1)
-            for i, x in enumerate(acc):
-                if x:
-                    for j, y in inner_terms:
-                        out[i + j] += x * y
-            out[0] += c * scale
-            acc = out
-        den = a * scale
-        return Polynomial(Fraction(x, den) for x in acc)
+        """The polynomial self(inner(x)), by Horner over the polynomial ring."""
+        return Polynomial(_horner(self.coeffs, *_over_common_denominator(inner.coeffs)))
 
     # -- hashing, comparison, display ------------------------------------------
 

@@ -8,6 +8,7 @@ telescoping identity that links consecutive exponents.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .bernoulli import bernoulli_number, bernoulli_polynomial
@@ -65,13 +66,14 @@ def oracle_sum(m: int, n: int) -> int:
 def check_partial_sum_identity(m: int, n: int) -> CheckLine:
     """Check sum(k**(m+1)) + sum over k of sum(l**m, l<=k) == (n+1)*sum(k**m).
 
-    Every quantity comes from oracle_sum, so this exercises the identity on
-    raw integers rather than any polynomial machinery.
+    The two full sums come from oracle_sum and the inner sums sum(l**m, l<=k)
+    are running integer sums, so the check is linear in n and exercises the
+    identity on raw integers rather than any polynomial machinery.
     """
     if m < 0:
         raise ValueError("exponent must be >= 0")
     if n < 1:
         raise ValueError("upper limit must be >= 1")
-    left = oracle_sum(m + 1, n) + sum(oracle_sum(m, k) for k in range(1, n + 1))
+    left = oracle_sum(m + 1, n) + sum(accumulate(k**m for k in range(1, n + 1)))
     right = (n + 1) * oracle_sum(m, n)
     return CheckLine(f"partial-sum identity, m={m}, n={n}", left == right)

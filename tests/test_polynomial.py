@@ -29,13 +29,29 @@ def reference_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Frac
     """outer(inner(x)) by Horner on plain Fraction lists, low-to-high."""
     acc: list[Fraction] = []
     for c in reversed(outer):
-        product = [F(0)] * (len(acc) + len(inner))
-        for i, a in enumerate(acc):
-            for j, b in enumerate(inner):
-                product[i + j] += a * b
+        product = reference_multiply(acc, inner)
         acc = [c + product[0]] + product[1:] if product else [c]
     while acc and acc[-1] == 0:
         acc.pop()
+    return acc
+
+
+def reference_multiply(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """p * q by convolution on plain Fraction lists, low-to-high."""
+    out = [F(0)] * max(0, len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def reference_evaluate(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    """p(x) by Horner's rule in plain Fraction arithmetic."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
     return acc
 
 
@@ -132,6 +148,34 @@ class TestArithmetic:
         assert p * Polynomial((1,)) == p
         assert (p * Polynomial()).is_zero
 
+    @given(st.one_of(st.tuples(wide_lists, narrow_lists), st.tuples(narrow_lists, wide_lists)))
+    @example(([], []))
+    @example(([], [F(1), F(2)]))
+    @example(([F(3), F(-1, 2)], []))
+    @example(([F(-5, 7)], [F(2, 9)]))
+    @example(([F(0), F(0), F(1, 6)], [F(-1, 4), F(0), F(0), F(7, 4)]))
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_fraction_convolution(self, lists):
+        p, q = lists
+        result = Polynomial(p) * Polynomial(q)
+        assert result.coeffs == tuple(reference_multiply(p, q))
+        assert_canonical(result)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p: p * True,
+            lambda p: True * p,
+            lambda p: Polynomial.combination([(True, p)]),
+            lambda p: Polynomial.combination([(0.5, p)]),
+            lambda p: Polynomial.combination([("1/2", p)]),
+        ],
+        ids=["mul-bool", "rmul-bool", "combination-bool", "combination-float", "combination-str"],
+    )
+    def test_scalars_must_be_exact(self, call):
+        with pytest.raises(TypeError, match="scalars must be an int or Fraction"):
+            call(Polynomial((1, F(1, 2))))
+
     @given(polys, polys)
     def test_degree_of_product(self, p, q):
         if p.is_zero or q.is_zero:
@@ -201,6 +245,26 @@ class TestEvaluation:
     def test_float_argument_rejected(self):
         with pytest.raises(TypeError):
             X(0.5)
+
+    @given(
+        wide_lists,
+        st.one_of(
+            st.integers(-(10**60), 10**60),
+            st.fractions(max_denominator=10**30),
+            st.fractions(min_value=-3, max_value=3, max_denominator=50),
+        ),
+    )
+    @example([], F(7))
+    @example([], F(0))
+    @example([F(-2, 3)], F(5, 4))
+    @example([F(5), F(-1, 2), F(0), F(3, 7)], F(0))
+    @example([F(1, 30), F(0), F(-1, 6), F(1, 2)], F(-7, 10**40 + 3))
+    @example([F(0), F(-1, 30), F(0), F(1, 3), F(1, 2), F(1, 5)], 10**50)
+    @settings(max_examples=60, deadline=None)
+    def test_evaluation_matches_fraction_horner(self, coeffs, x):
+        value = Polynomial(coeffs)(x)
+        assert value == reference_evaluate(coeffs, F(x))
+        assert type(value) is Fraction
 
     @given(polys, polys, rationals)
     @settings(max_examples=60)

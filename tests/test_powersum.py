@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,14 @@ class TestPartialSumIdentity:
 
     def test_report_carries_inputs(self):
         assert check_partial_sum_identity(2, 4).label == "partial-sum identity, m=2, n=4"
+
+    def test_inner_sums_are_linear(self):
+        # an oracle_sum per inner sum would take over a minute at this bound
+        start = time.perf_counter()
+        line = check_partial_sum_identity(3, 20_000)
+        elapsed = time.perf_counter() - start
+        assert line.passed
+        assert elapsed < 5.0, f"check_partial_sum_identity(3, 20000) took {elapsed:.2f} s"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
