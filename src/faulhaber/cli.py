@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success (all verifications passed), 1 a verification suite
-found a counterexample or an internal consistency check failed, 2 usage
-error. Results go to stdout, diagnostics to stderr. There is no
+found a counterexample, a consistency check failed or stdout closed early, 2
+usage error. Results go to stdout, diagnostics to stderr. There is no
 configuration beyond the flags; identical invocations print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
+import os
 import sys
 from collections.abc import Sequence
 
@@ -17,6 +17,8 @@ from .bernoulli import bernoulli_at_half, bernoulli_number, bernoulli_polynomial
 from .powersum import oracle_sum, powersum_monomial
 from .recurrence import verify_recurrence_consistency
 from .render import (
+    rational_text,
+    read_integer,
     render_monomial,
     render_polynomial_in_x,
     render_shifted,
@@ -48,18 +50,15 @@ class UsageError(Exception):
     """Bad flag combination or out-of-range argument; maps to exit code 2."""
 
 
+def _nonnegative_int(text: str, least: int = 0) -> int:
+    value = read_integer(text)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}")
+    return value
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+    return _nonnegative_int(text, 1)
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:
@@ -83,19 +82,10 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     if args.poly:
         print(render_polynomial_in_x(bernoulli_polynomial(args.index)))
     elif args.at_half:
-        print(bernoulli_at_half(args.index))
+        print(rational_text(bernoulli_at_half(args.index)))
     else:
-        print(bernoulli_number(args.index))
+        print(rational_text(bernoulli_number(args.index)))
     return 0
-
-
-def _digits(value: int) -> str:
-    """Exact decimal digits of an int of any size.
-
-    str(int) refuses values past the interpreter's digit limit; the decimal
-    module converts without it and leaves the process-wide limit alone.
-    """
-    return str(decimal.Decimal(value))
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -107,17 +97,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         exact = powersum_monomial(m)(n)
         if exact.denominator != 1:
-            raise ConsistencyError(
-                f"power sum evaluated to a non-integer "
-                f"{_digits(exact.numerator)}/{_digits(exact.denominator)}"
-            )
+            raise ConsistencyError(f"power sum evaluated to a non-integer {rational_text(exact)}")
         value = exact.numerator
     if args.check:
         reference = oracle_sum(m, n)
         status = "OK" if reference == value else "MISMATCH"
-        print(f"{_digits(value)} (oracle: {_digits(reference)}, {status})")
+        print(f"{rational_text(value)} (oracle: {rational_text(reference)}, {status})")
         return 0 if status == "OK" else 1
-    print(_digits(value))
+    print(rational_text(value))
     return 0
 
 
@@ -180,12 +167,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the flush at exit then writes the rest of the buffer to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was all written", file=sys.stderr)
         return 1
 
 

@@ -4,10 +4,16 @@ Identical inputs produce byte-identical strings: term order is fixed
 (descending powers), rationals are always reduced `p/q` text, and JSON key
 order is hard-coded. Zero terms are omitted from plain and LaTeX output;
 JSON keeps full coefficient lists so it round-trips.
+
+The CLI writes every number with `rational_text` and reads every integer with
+`read_integer`: through `decimal`, both are exact past the digit limit at
+which str() and int() refuse (4300 by default), and leave that limit alone.
 """
 
 from __future__ import annotations
 
+import decimal
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -16,16 +22,26 @@ from .shifted import ShiftedForm
 from .triangular import FaulhaberForm, Multiplier
 
 
-def _latex_rational(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
+def rational_text(value: int | Fraction, fraction: str = "%s/%s") -> str:
+    """`p`, or `fraction` % (p, q) unless q is 1, for value = p/q in lowest terms."""
+    p = decimal.Decimal(value.numerator)
+    return str(p) if value.denominator == 1 else fraction % (p, decimal.Decimal(value.denominator))
 
 
-#: The only text in which plain and LaTeX terms differ. Per format: the
-#: rational, a variable {v} to a power {k}, the product of a coefficient and its
+def read_integer(text: str) -> int:
+    """int(text) without its digit limit, for exactly the texts int() accepts."""
+    # int()'s whitespace is what str.isspace() accepts, less \x1c-\x1f
+    if re.fullmatch(r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*", text) is None:
+        raise ValueError(text)
+    return int(decimal.Decimal(text))
+
+
+#: The only text in which plain and LaTeX terms differ. Per format: a fraction
+#: p/q, a variable {v} to a power {k}, the product of a coefficient and its
 #: variable, and the sign before a later positive / negative term.
 _FORMATS = {
-    "plain": (str, "{v}^{k}", "*", (" + ", " - ")),
-    "latex": (_latex_rational, "{v}^{{{k}}}", "", ("+", "-")),
+    "plain": ("%s/%s", "{v}^{k}", "*", (" + ", " - ")),
+    "latex": (r"\frac{%s}{%s}", "{v}^{{{k}}}", "", ("+", "-")),
 }
 
 #: the triangular variable u = S1 in each text format
@@ -39,7 +55,7 @@ _LATEX_MULTIPLIER = {
 
 def _terms(poly: Polynomial, variable: str, fmt: str) -> str:
     """poly's non-zero terms, highest power first, in a text format."""
-    rational, power, product, signs = _FORMATS[fmt]
+    fraction, power, product, signs = _FORMATS[fmt]
     parts: list[str] = []
     for k in range(poly.degree, -1, -1):
         coeff = poly.coeffs[k]
@@ -47,10 +63,10 @@ def _terms(poly: Polynomial, variable: str, fmt: str) -> str:
             continue
         magnitude = abs(coeff)
         if k == 0:
-            body = rational(magnitude)
+            body = rational_text(magnitude, fraction)
         else:
             var = variable if k == 1 else power.format(v=variable, k=k)
-            body = var if magnitude == 1 else rational(magnitude) + product + var
+            body = var if magnitude == 1 else rational_text(magnitude, fraction) + product + var
         if parts:
             parts.append(signs[coeff < 0])
         elif coeff < 0:
@@ -65,7 +81,7 @@ def _json(power: int, basis: str, multiplier: str | None, coefficients: Sequence
     import json  # only JSON output pays for the import
 
     return json.dumps(dict(power=power, basis=basis, multiplier=multiplier,
-                           coefficients=[str(c) for c in coefficients], ordering=ordering))
+                           coefficients=[rational_text(c) for c in coefficients], ordering=ordering))
 
 
 def render_monomial(power: int, poly: Polynomial, fmt: str) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -17,10 +18,11 @@ from faulhaber.bernoulli import bernoulli_polynomial
 from faulhaber.polynomial import Polynomial
 from faulhaber.powersum import powersum_via_bernoulli_poly
 from faulhaber.reports import CheckLine, VerificationReport
-from faulhaber.shifted import shifted_closed_form, shifted_form, shifted_to_monomial
-from faulhaber.triangular import expand_to_monomial, faulhaber_form
+from faulhaber.shifted import ShiftedForm, shifted_closed_form, shifted_form, shifted_to_monomial
+from faulhaber.triangular import FaulhaberForm, Multiplier, expand_to_monomial, faulhaber_form
 
 F = Fraction
+SRC = Path(__file__).parents[1] / "src"
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_common", Path(__file__).parents[1] / "perfbench" / "common.py"
@@ -248,6 +250,125 @@ class TestEvalCommand:
         code, out, _ = run(capsys, "eval", "1", str(10**6), "--check")
         assert code == 0
         assert out.endswith("OK)\n")
+
+
+#: an int past str()'s default 4300-digit limit, and its decimal text, which the
+#: expected outputs below hold as @
+BIG, BIG_TEXT = 10**4400 + 1, "1" + "0" * 4399 + "1"
+
+
+def _int_or_error(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return ValueError
+
+
+def _cli_process(*args: str) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+class TestNumbersOfAnyLength:
+    @pytest.mark.parametrize("argv, name, stand_in, code, expected", [
+        pytest.param(("bernoulli", "4"), "bernoulli_number", lambda m: F(-BIG, 30), 0,
+                     "-@/30\n", id="bernoulli"),
+        pytest.param(("bernoulli", "4", "--at-half"), "bernoulli_at_half", lambda m: F(BIG, 7), 0,
+                     "@/7\n", id="at-half"),
+        pytest.param(("bernoulli", "2", "--poly"), "bernoulli_polynomial",
+                     lambda m: Polynomial((F(BIG, 6), -1, 1)), 0, "x^2 - x + @/6\n", id="poly"),
+        *(
+            pytest.param(("powersum", "2", "--format", fmt), "powersum_monomial",
+                         lambda m: Polynomial((0, F(BIG, 6), F(1, 2), F(1, 3))), 0, text,
+                         id=f"monomial-{fmt}")
+            for fmt, text in [
+                ("plain", "1/3*n^3 + 1/2*n^2 + @/6*n\n"),
+                ("latex", "\\frac{1}{3}n^{3}+\\frac{1}{2}n^{2}+\\frac{@}{6}n\n"),
+                ("json", '{"power": 2, "basis": "monomial", "multiplier": null, '
+                         '"coefficients": ["0", "@/6", "1/2", "1/3"], "ordering": "degree-ascending"}\n'),
+            ]
+        ),
+        *(
+            pytest.param(("powersum", "4", "--basis", "triangular", "--format", fmt), "faulhaber_form",
+                         lambda m: FaulhaberForm(4, "even", (F(BIG, 5), F(-1, 5)), Multiplier.SUM_OF_SQUARES),
+                         0, text, id=f"triangular-{fmt}")
+            for fmt, text in [
+                ("plain", "(@/5*S1 - 1/5) * Sum(k^2)\n"),
+                ("latex", "\\left[\\frac{@}{5}S_{1}-\\frac{1}{5}\\right]\\cdot\\sum k^{2}\n"),
+                ("json", '{"power": 4, "basis": "triangular", "multiplier": "Sum(k^2)", '
+                         '"coefficients": ["@/5", "-1/5"], "ordering": "paper-descending"}\n'),
+            ]
+        ),
+        *(
+            pytest.param(("powersum", "2", "--basis", "shifted", "--format", fmt), "shifted_form",
+                         lambda m: ShiftedForm(2, "even", (F(1, 3), F(-BIG, 12))), 0, text,
+                         id=f"shifted-{fmt}")
+            for fmt, text in [
+                ("plain", "N*(1/3*N^2 - @/12)  where N = n + 1/2\n"),
+                ("latex", "N\\left(\\frac{1}{3}N^{2}-\\frac{@}{12}\\right)\n"),
+                ("json", '{"power": 2, "basis": "shifted", "multiplier": null, '
+                         '"coefficients": ["1/3", "-@/12"], "ordering": "paper-descending"}\n'),
+            ]
+        ),
+        pytest.param(("eval", "1", "1"), "powersum_monomial", lambda m: Polynomial((0, F(BIG, 2))), 1,
+                     "error: power sum evaluated to a non-integer @/2\n", id="eval-non-integer"),
+    ])
+    def test_every_output_path_prints_past_the_int_print_limit(
+        self, capsys, monkeypatch, argv, name, stand_in, code, expected
+    ):
+        monkeypatch.setattr(cli, name, stand_in)
+        text = expected.replace("@", BIG_TEXT)
+        # a success writes stdout only, a failure stderr only
+        assert run(capsys, *argv) == ((0, text, "") if code == 0 else (code, "", text))
+
+    @pytest.mark.parametrize("text, expected", [
+        *((text, _int_or_error(text)) for text in (
+            " 7 ", "+3", "1_000", "\u0663", "\u00a07\u2003", "0012", "-0",
+            "5.", "5e0", "5.0e1", "nan", "Infinity", "1.5", "0x10", "1__0", "_1", "1_", "",
+            "+-5", "\x1c7",
+        )),
+        pytest.param("1_" + "0" * 4400, 10**4400, id="4401-digits"),
+        pytest.param(" +" + "9" * 5000 + "\n", 10**5000 - 1, id="5000-nines"),
+    ])
+    def test_integer_arguments_parse_as_int_does(self, text, expected):
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                cli._nonnegative_int(text)
+        else:
+            assert cli._nonnegative_int(text) == expected
+
+    def test_upper_limit_past_the_int_parse_limit(self, capsys):
+        n = 10**4400
+        code, out, _ = run(capsys, "eval", "3", "1" + "0" * 4400)
+        assert code == 0
+        # parsed by Decimal, which str(int)'s 4300-digit limit does not cover
+        assert Decimal(out) == (n * (n + 1) // 2) ** 2
+
+    @pytest.mark.parametrize("argv", [
+        "bernoulli 500",
+        "bernoulli 500 --poly",
+        "bernoulli 500 --at-half",
+        "powersum 500 --format json",
+        "powersum 500 --basis triangular --format latex",
+        "powersum 500 --basis shifted --method closed",
+        pytest.param("eval 3 1" + "0" * 700, id="eval 3 10^700"),
+    ])
+    def test_low_interpreter_digit_limit_changes_no_byte(self, capsys, argv):
+        # 640 is the lowest limit the interpreter accepts; the B_500 numerator has 743 digits
+        proc = _cli_process("-X", "int_max_str_digits=640", "-m", "faulhaber.cli", *argv.split())
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert out == run(capsys, *argv.split())[1].encode()
+
+    def test_reader_closing_stdout_early_is_one_line_exit_one(self):
+        # 162 KB of output, well past the pipe's buffer, so the writer meets the closed end
+        proc = _cli_process("-m", "faulhaber.cli", "bernoulli", "600", "--poly")
+        assert proc.stdout.read(20) == b"x^600 - 300*x^599 + "
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b"error: stdout was closed before the output was all written\n"
 
 
 class TestVerifyCommand:
