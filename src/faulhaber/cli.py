@@ -92,13 +92,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     m, n = args.exponent, args.upper
     if args.check and n > CHECK_LIMIT:
         raise UsageError(f"--check is limited to n <= {CHECK_LIMIT}")
-    if m == 0:
-        value = n  # sum of n ones; the polynomial generators start at m = 1
-    else:
-        exact = powersum_monomial(m)(n)
-        if exact.denominator != 1:
-            raise ConsistencyError(f"power sum evaluated to a non-integer {rational_text(exact)}")
-        value = exact.numerator
+    exact = powersum_monomial(m)(n)
+    if exact.denominator != 1:
+        raise ConsistencyError(f"power sum evaluated to a non-integer {rational_text(exact)}")
+    value = exact.numerator
     if args.check:
         reference = oracle_sum(m, n)
         status = "OK" if reference == value else "MISMATCH"

@@ -14,21 +14,14 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 
+from .reports import Record
+
 
 def _exact(value: object, message: str) -> Fraction | int:
     """`value` if it is an int or a Fraction (never a bool), else TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"{message}, not {type(value).__name__}")
     return value
-
-
-def _coerce(value: Fraction | int | str) -> Fraction:
-    """Exact values only: an int, a Fraction, or rational text such as "1/2"."""
-    if isinstance(value, Fraction):
-        return value
-    if not isinstance(value, str):
-        _exact(value, "coefficients must be exact rationals")
-    return Fraction(value)
 
 
 def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -64,7 +57,7 @@ def _horner(coeffs: Sequence[Fraction], inner: list[int], b: int) -> list[Fracti
     return [Fraction(x, den) for x in acc]
 
 
-class Polynomial:
+class Polynomial(Record):
     """Immutable dense polynomial in one formal variable."""
 
     __slots__ = ("coeffs",)
@@ -72,13 +65,11 @@ class Polynomial:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
-        cs = [_coerce(c) for c in coeffs]
+        message = "coefficients must be exact rationals"
+        cs = [c if isinstance(c, Fraction) else Fraction(_exact(c, message)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -170,19 +161,6 @@ class Polynomial:
     def compose(self, inner: Polynomial) -> Polynomial:
         """The polynomial self(inner(x)), by Horner over the polynomial ring."""
         return Polynomial(_horner(self.coeffs, *_over_common_denominator(inner.coeffs)))
-
-    # -- hashing, comparison, display ------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
 
 
 #: The identity polynomial x, the usual building block.

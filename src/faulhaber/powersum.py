@@ -24,8 +24,8 @@ def powersum_monomial(m: int) -> Polynomial:
     index contributes zero; the partial-sum recurrence route uses the
     unsigned convention instead, and the two must never be mixed.
     """
-    if m < 1:
-        raise ValueError("powersum_monomial requires m >= 1")
+    if m < 0:
+        raise ValueError("powersum_monomial requires m >= 0")
     coeffs = [Fraction(0)] * (m + 2)
     for j in range(m + 1):
         sign = -1 if j % 2 else 1

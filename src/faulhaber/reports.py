@@ -1,16 +1,32 @@
 """Pass/fail containers returned by the verification operations, and the
-immutable record base they share with the triangular and shifted forms."""
+immutable record base they share with `Polynomial` and both forms."""
 
 from __future__ import annotations
+
+import decimal
+from fractions import Fraction
+
+
+def _literal(value: object) -> str:
+    """repr(value), but through decimal for every int and Fraction in it: no digit limit."""
+    if isinstance(value, tuple):
+        items = [_literal(v) for v in value]
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+    if isinstance(value, Fraction):
+        return f"Fraction({_literal(value.numerator)}, {_literal(value.denominator)})"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(decimal.Decimal(value))
+    return repr(value)
 
 
 class Record:
     """Immutable value object whose fields are its class's `__slots__`.
 
     Two records are equal only if they have the same class and equal fields,
-    in slot order; the hash, the `Name(field=value, ...)` repr and the refusal
-    to assign all follow from the same slots. Subclasses set their fields with
-    `object.__setattr__` in an explicit `__init__`.
+    in slot order; the hash, the refusal to assign or delete and the repr, a
+    constructor call exact at any length, all follow from the same slots. A
+    subclass's `__init__` takes the slots by name and sets each one with
+    `object.__setattr__`.
     """
 
     __slots__ = ()
@@ -33,7 +49,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_literal(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
 

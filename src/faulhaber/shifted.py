@@ -20,7 +20,6 @@ from .reports import CheckLine, Record, VerificationReport
 from .triangular import (
     ConsistencyError,
     FaulhaberForm,
-    Multiplier,
     expand_to_monomial,
     faulhaber_form,
 )
@@ -38,21 +37,21 @@ SQUARE_OF_SUM_SHIFTED = U_OF_SHIFT * U_OF_SHIFT
 class ShiftedForm(Record):
     """One power sum as a single-parity polynomial in N = n + 1/2.
 
-    `parity` is "even" or "odd". Even power 2m: coefficients d_0..d_m
-    multiplying N^(2m+1), N^(2m-1), ..., N (m+1 entries, one more than the
-    triangular list because the multiplier contributes a coefficient of its
-    own after substitution).
+    Even power 2m: coefficients d_0..d_m multiplying N^(2m+1), N^(2m-1), ...,
+    N (m+1 entries, one more than the triangular list because the multiplier
+    contributes a coefficient of its own after substitution).
     Odd power 2m+1: coefficients e_0..e_(m+1) multiplying N^(2m+2), N^(2m),
     ..., N^2, 1; the trailing entry is the constant term, which exists only
     in this parity.
     """
 
-    __slots__ = ("power", "parity", "coefficients")
+    __slots__ = ("power", "coefficients")
 
-    def __init__(self, power: int, parity: str, coefficients: tuple[Fraction, ...]) -> None:
+    def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "coefficients", coefficients)
+
+    parity = FaulhaberForm.parity  # "even" or "odd", from the power, as for a triangular form
 
     def shift_polynomial(self) -> Polynomial:
         """The form as a low-to-high polynomial in N."""
@@ -78,7 +77,7 @@ def _extract(power: int, shift_poly: Polynomial) -> ShiftedForm:
             )
     # entries for N^top, N^(top-2), ..., down to N^1 (even power) or N^0 (odd power)
     coeffs = tuple(shift_poly.coefficient(k) for k in range(top, -1, -2))
-    return ShiftedForm(power, "even" if power % 2 == 0 else "odd", coeffs)
+    return ShiftedForm(power, coeffs)
 
 
 def shifted_form(power: int) -> ShiftedForm:
@@ -92,10 +91,8 @@ def shifted_form(power: int) -> ShiftedForm:
 
 def _from_triangular(form: FaulhaberForm) -> ShiftedForm:
     """Substitute u = N^2/2 - 1/8 into a triangular form and its multiplier."""
-    inner = form.u_polynomial().compose(U_OF_SHIFT)
-    if form.multiplier is Multiplier.SUM_OF_SQUARES:
-        return _extract(form.power, inner * SUM_OF_SQUARES_SHIFTED)
-    return _extract(form.power, inner * SQUARE_OF_SUM_SHIFTED)
+    multiplier = (SUM_OF_SQUARES_SHIFTED, SQUARE_OF_SUM_SHIFTED)[form.power % 2]
+    return _extract(form.power, form.u_polynomial().compose(U_OF_SHIFT) * multiplier)
 
 
 def shifted_closed_form(power: int) -> ShiftedForm:
@@ -114,10 +111,9 @@ def shifted_closed_form(power: int) -> ShiftedForm:
         Fraction(comb(power, 2 * i), power - 2 * i + 1) * bernoulli_at_half(2 * i)
         for i in range(m + 1)
     ]
-    if power % 2 == 0:
-        return ShiftedForm(power, "even", tuple(c))
-    c.append(-sum(c[i] / Fraction(4) ** (m - i + 1) for i in range(m + 1)))
-    return ShiftedForm(power, "odd", tuple(c))
+    if power % 2:
+        c.append(-sum(c[i] / Fraction(4) ** (m - i + 1) for i in range(m + 1)))
+    return ShiftedForm(power, tuple(c))
 
 
 def shifted_to_monomial(form: ShiftedForm) -> Polynomial:

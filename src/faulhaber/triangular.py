@@ -52,23 +52,36 @@ SUM_OF_SQUARES_OF_N = Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1,
 #: (sum k)^2, the odd-exponent multiplier.
 SQUARE_OF_SUM_OF_N = U_OF_N * U_OF_N
 
+#: power % 2 -> (parity, multiplier, the multiplier as a polynomial in n)
+BY_PARITY = (
+    ("even", Multiplier.SUM_OF_SQUARES, SUM_OF_SQUARES_OF_N),
+    ("odd", Multiplier.SQUARE_OF_SUM, SQUARE_OF_SUM_OF_N),
+)
+
 
 class FaulhaberForm(Record):
     """One power sum written as coefficients-in-u times a fixed multiplier.
 
-    `parity` is "even" or "odd". `coefficients` is ordered highest u-power
-    first: entry i multiplies u**(count-1-i), where count = len(coefficients)
-    = power // 2. The last entry is the constant term.
+    `coefficients` is ordered highest u-power first: entry i multiplies
+    u**(count-1-i), where count = len(coefficients) = power // 2. The last
+    entry is the constant term. The power's parity decides the multiplier.
     """
 
-    __slots__ = ("power", "parity", "coefficients", "multiplier")
+    __slots__ = ("power", "coefficients")
 
-    def __init__(self, power: int, parity: str, coefficients: tuple[Fraction, ...],
-                 multiplier: Multiplier) -> None:
+    def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "multiplier", multiplier)
+
+    @property
+    def parity(self) -> str:
+        """The power's parity, "even" or "odd"."""
+        return BY_PARITY[self.power % 2][0]
+
+    @property
+    def multiplier(self) -> Multiplier:
+        """Sum(k^2) for an even power, Sum(k)^2 for an odd one."""
+        return BY_PARITY[self.power % 2][1]
 
     def u_polynomial(self) -> Polynomial:
         """The coefficient list as a low-to-high polynomial in u."""
@@ -81,17 +94,7 @@ def _wrap_form(power: int, u_poly: Polynomial) -> FaulhaberForm:
         raise ConsistencyError(
             f"triangular form for power {power} has u-degree {u_poly.degree}, expected {m - 1}"
         )
-    coefficients = tuple(u_poly.coefficient(m - 1 - i) for i in range(m))
-    if power % 2 == 0:
-        return FaulhaberForm(power, "even", coefficients, Multiplier.SUM_OF_SQUARES)
-    return FaulhaberForm(power, "odd", coefficients, Multiplier.SQUARE_OF_SUM)
-
-
-def multiplier_polynomial(multiplier: Multiplier) -> Polynomial:
-    """The multiplier as an explicit polynomial in n."""
-    if multiplier is Multiplier.SUM_OF_SQUARES:
-        return SUM_OF_SQUARES_OF_N
-    return SQUARE_OF_SUM_OF_N
+    return FaulhaberForm(power, tuple(u_poly.coefficient(m - 1 - i) for i in range(m)))
 
 
 def triangular_decompose(p: Polynomial) -> Polynomial:
@@ -129,8 +132,8 @@ def faulhaber_form(power: int) -> FaulhaberForm:
     """Direct route: exact division by the multiplier, then rewrite in u."""
     if power < 2:
         raise ValueError("triangular forms require power >= 2")
-    multiplier = Multiplier.SUM_OF_SQUARES if power % 2 == 0 else Multiplier.SQUARE_OF_SUM
-    quotient, remainder = divmod(powersum_monomial(power), multiplier_polynomial(multiplier))
+    _, multiplier, divisor = BY_PARITY[power % 2]
+    quotient, remainder = divmod(powersum_monomial(power), divisor)
     if not remainder.is_zero:
         raise ConsistencyError(
             f"power sum for exponent {power} is not divisible by {multiplier.value}"
@@ -182,7 +185,7 @@ def faulhaber_form_inductive(power: int) -> FaulhaberForm:
 
 def expand_to_monomial(form: FaulhaberForm) -> Polynomial:
     """Multiply the form back out into a plain polynomial in n."""
-    return form.u_polynomial().compose(U_OF_N) * multiplier_polynomial(form.multiplier)
+    return form.u_polynomial().compose(U_OF_N) * BY_PARITY[form.power % 2][2]
 
 
 def square_in_triangular(power: int) -> Polynomial:

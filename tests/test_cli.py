@@ -19,7 +19,7 @@ from faulhaber.polynomial import Polynomial
 from faulhaber.powersum import powersum_via_bernoulli_poly
 from faulhaber.reports import CheckLine, VerificationReport
 from faulhaber.shifted import ShiftedForm, shifted_closed_form, shifted_form, shifted_to_monomial
-from faulhaber.triangular import FaulhaberForm, Multiplier, expand_to_monomial, faulhaber_form
+from faulhaber.triangular import FaulhaberForm, expand_to_monomial, faulhaber_form
 
 F = Fraction
 SRC = Path(__file__).parents[1] / "src"
@@ -290,7 +290,7 @@ class TestNumbersOfAnyLength:
         ),
         *(
             pytest.param(("powersum", "4", "--basis", "triangular", "--format", fmt), "faulhaber_form",
-                         lambda m: FaulhaberForm(4, "even", (F(BIG, 5), F(-1, 5)), Multiplier.SUM_OF_SQUARES),
+                         lambda m: FaulhaberForm(4, (F(BIG, 5), F(-1, 5))),
                          0, text, id=f"triangular-{fmt}")
             for fmt, text in [
                 ("plain", "(@/5*S1 - 1/5) * Sum(k^2)\n"),
@@ -301,7 +301,7 @@ class TestNumbersOfAnyLength:
         ),
         *(
             pytest.param(("powersum", "2", "--basis", "shifted", "--format", fmt), "shifted_form",
-                         lambda m: ShiftedForm(2, "even", (F(1, 3), F(-BIG, 12))), 0, text,
+                         lambda m: ShiftedForm(2, (F(1, 3), F(-BIG, 12))), 0, text,
                          id=f"shifted-{fmt}")
             for fmt, text in [
                 ("plain", "N*(1/3*N^2 - @/12)  where N = n + 1/2\n"),

@@ -47,9 +47,10 @@ class TestMonomialPolynomials:
         for m in range(3, 41, 2):
             assert powersum_monomial(m).coefficient(1) == 0
 
-    def test_exponent_zero_rejected(self):
+    def test_exponent_zero_is_n_and_negative_rejected(self):
+        assert powersum_monomial(0) == Polynomial((0, 1))
         with pytest.raises(ValueError):
-            powersum_monomial(0)
+            powersum_monomial(-1)
 
 
 class TestBernoulliPolynomialRoute:

@@ -124,7 +124,7 @@ class TestBackToMonomial:
             assert shifted_to_monomial(shifted_closed_form(power)) == powersum_monomial(power)
 
     def test_handmade_form(self):
-        form = ShiftedForm(1, "odd", (F(1, 2), F(-1, 8)))
+        form = ShiftedForm(1, (F(1, 2), F(-1, 8)))
         assert shifted_to_monomial(form) == powersum_monomial(1)
 
     def test_roundtrip_suite_lists_triangular_then_shifted(self):

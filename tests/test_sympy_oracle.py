@@ -61,8 +61,8 @@ def test_bernoulli_polynomials_match_sympy(m):
     assert bernoulli_polynomial(m).coeffs == coefficients(sympy.bernoulli(m, x), x)
 
 
-# the library's power sums start at m = 1 (powersum_monomial(0) raises ValueError)
-@given(st.integers(min_value=1, max_value=60))
+@given(st.integers(min_value=0, max_value=60))
+@example(0)
 @example(1)
 @example(2)
 @example(60)

@@ -199,7 +199,7 @@ class TestExpansion:
             assert expand_to_monomial(faulhaber_form(power)) == powersum_monomial(power)
 
     def test_expansion_of_handmade_form(self):
-        form = FaulhaberForm(2, "even", (F(1),), Multiplier.SUM_OF_SQUARES)
+        form = FaulhaberForm(2, (F(1),))
         assert expand_to_monomial(form) == powersum_monomial(2)
 
 
