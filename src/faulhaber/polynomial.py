@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .reports import Record
 
@@ -28,6 +28,29 @@ def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[list[int], int
     """Integer numerators of `coeffs` over their least common denominator."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _combine(scaled: Iterable[tuple[Fraction | int, Sequence[int], int]]) -> tuple[list[int], int]:
+    """The sum of c * nums / d over the (c, nums, d) triples in `scaled`, as (numerators, den).
+
+    Each nums is a list of integer numerators, low-to-high, over the positive
+    denominator d. The result is reduced, den > 0 and gcd(den, *numerators) == 1,
+    so denominators do not compound when one result feeds the next sum.
+    """
+    scaled = [(c, nums, d) for c, nums, d in scaled if c and nums]
+    den = lcm(*(c.denominator * d for c, _, d in scaled))
+    out = [0] * max((len(nums) for _, nums, _ in scaled), default=0)
+    for c, nums, d in scaled:
+        a = c.numerator * (den // (c.denominator * d))
+        for i, x in enumerate(nums):
+            out[i] += a * x
+    g = gcd(den, *out)
+    return [x // g for x in out], den // g
+
+
+def _polynomial(nums: Sequence[int], den: int) -> Polynomial:
+    """The polynomial with integer numerators `nums` over the denominator `den`."""
+    return Polynomial(Fraction(x, den) for x in nums)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -92,14 +115,8 @@ class Polynomial(Record):
     def combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Polynomial:
         """The sum of c * p over the (c, p) pairs in `terms`; each c is an int or a Fraction."""
         terms = [(_exact(c, "scalars must be an int or Fraction"), p) for c, p in terms]
-        scaled = [(c, *_over_common_denominator(p.coeffs)) for c, p in terms if c and p.coeffs]
-        den = lcm(*(c.denominator * d for c, _, d in scaled))
-        out = [0] * max((len(nums) for _, nums, _ in scaled), default=0)
-        for c, nums, d in scaled:
-            a = c.numerator * (den // (c.denominator * d))
-            for i, x in enumerate(nums):
-                out[i] += a * x
-        return Polynomial(Fraction(x, den) for x in out)
+        scaled = [(c, *_over_common_denominator(p.coeffs)) for c, p in terms if c]
+        return _polynomial(*_combine(scaled))
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):

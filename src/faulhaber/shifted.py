@@ -48,6 +48,12 @@ class ShiftedForm(Record):
     __slots__ = ("power", "coefficients")
 
     def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
+        count = power // 2 + 1 + power % 2
+        if len(coefficients) != count:
+            raise ValueError(
+                f"a shifted form for power {power} has {count} coefficients,"
+                f" not {len(coefficients)}"
+            )
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "coefficients", coefficients)
 

@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 
 from .bernoulli import bernoulli_number
-from .polynomial import Polynomial, X, _over_common_denominator
+from .polynomial import Polynomial, X, _combine, _over_common_denominator, _polynomial
 from .powersum import powersum_monomial
 from .reports import CheckLine, Record, VerificationReport
 
@@ -70,6 +70,11 @@ class FaulhaberForm(Record):
     __slots__ = ("power", "coefficients")
 
     def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
+        if len(coefficients) != power // 2:
+            raise ValueError(
+                f"a triangular form for power {power} has {power // 2} coefficients,"
+                f" not {len(coefficients)}"
+            )
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "coefficients", coefficients)
 
@@ -151,29 +156,36 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
     first bridge identity. The step to an odd power additionally produces a
     stray B_(p-1) * (sum k) term which must cancel exactly against
     (constant term)/6 of the even form below it; a nonzero residue would
-    falsify the construction, so it raises ConsistencyError.
+    falsify the construction, so it raises ConsistencyError. Forms are held
+    as `_combine` pairs, and each step's factor p/(p+1) is folded into every
+    scalar.
     """
-    forms = {2: Polynomial((1,)), 3: Polynomial((1,))}
+    forms = {2: ([1], 1), 3: ([1], 1)}
     for p in range(4, power + 1):
         # forms[p - 2j] has the parity of p, and so the multiplier of forms[p]
-        b = [Fraction(comb(p, 2 * j), p) * bernoulli_number(2 * j) for j in range(1, p // 2)]
-        lower = [(-c, forms[p - 2 * j]) for j, c in enumerate(b, 1)]  # subtracted
-        below = forms[p - 1]
+        lower = [
+            (Fraction(-comb(p, 2 * j), p + 1) * bernoulli_number(2 * j), *forms[p - 2 * j])
+            for j in range(1, p // 2)
+        ]
+        nums, den = forms[p - 1]
         if p % 2 == 0:
             # first bridge identity: (n+1/2) f(u) (sum k)^2 = (3/2) u f(u) sum(k^2)
-            lifted = [(Fraction(3, 2), X * below)]
+            lifted = [(Fraction(3 * p, 2 * (p + 1)), [0, *nums], den)]
         else:
-            if below.coefficient(0) / 6 != bernoulli_number(p - 1):
+            if Fraction(nums[0], 6 * den) != bernoulli_number(p - 1):
                 raise ConsistencyError(
                     f"stray linear-sum term at power {p}: constant/6 != B_{p - 1}"
                 )
             # second bridge identity: (n+1/2) f(u) sum(k^2) becomes
             # (4/3 f(u) + (f(u) - f(0))/(6u)) (sum k)^2 + (f(0)/6) sum k,
             # and the trailing piece is exactly the stray term cancelled above.
-            lifted = [(Fraction(4, 3), below), (Fraction(1, 6), Polynomial(below.coeffs[1:]))]
-        # forms[p] = p/(p+1) * (lifted - sum(b_j * forms[p - 2j])), as one combination
-        forms[p] = Polynomial.combination((c * Fraction(p, p + 1), f) for c, f in lifted + lower)
-    return forms[power]
+            lifted = [
+                (Fraction(4 * p, 3 * (p + 1)), nums, den),
+                (Fraction(p, 6 * (p + 1)), nums[1:], den),
+            ]
+        # forms[p] = p/(p+1) * (lifted - sum(b_j * forms[p - 2j])), b_j = C(p, 2j)/p * B_2j
+        forms[p] = _combine(lifted + lower)
+    return _polynomial(*forms[power])
 
 
 def faulhaber_form_inductive(power: int) -> FaulhaberForm:

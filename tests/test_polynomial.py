@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faulhaber.polynomial import Polynomial, X
+from faulhaber.polynomial import Polynomial, X, _combine
 
 F = Fraction
 
@@ -23,6 +23,17 @@ narrow_lists = st.lists(gappy, max_size=4)
 wide_polys = wide_lists.map(Polynomial)
 scalars = st.one_of(st.just(0), st.integers(-30, 30), gappy)
 terms_lists = st.lists(st.tuples(scalars, wide_polys), max_size=6)
+# (scalar, integer numerators, positive denominator) triples for the kernel itself
+huge = st.integers(-(10**80), 10**80)
+kernel_scalars = st.one_of(scalars, st.builds(F, huge, st.integers(1, 10**40)))
+kernel_triples = st.lists(
+    st.tuples(
+        kernel_scalars,
+        st.lists(st.one_of(st.integers(-30, 30), huge), max_size=8),
+        st.one_of(st.integers(1, 60), st.integers(1, 10**40)),
+    ),
+    max_size=6,
+)
 
 
 def reference_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Fraction]:
@@ -196,6 +207,24 @@ class TestCombination:
         result = Polynomial.combination(terms)
         assert result.coeffs == reference_combination(terms)
         assert_canonical(result)
+
+    @given(kernel_triples)
+    @example([])
+    @example([(0, [1, 2], 3), (F(-1, 2), [], 5), (F(0), [7], 1)])
+    @example([(1, [2, 4], 6)])  # reduces to [1, 2] over 3
+    @example([(-1, [2, 4], 6), (1, [1, 2], 3)])  # cancels to zero over 1
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_fraction_sum_and_is_reduced(self, scaled):
+        nums, den = _combine(scaled)
+        expected: list[Fraction] = []
+        for c, xs, d in scaled:
+            if c:
+                expected += [F(0)] * (len(xs) - len(expected))
+                for i, x in enumerate(xs):
+                    expected[i] += c * F(x, d)
+        assert [F(x, den) for x in nums] == expected
+        assert den > 0
+        assert math.gcd(den, *nums) == 1
 
     @given(terms_lists)
     @settings(max_examples=40, deadline=None)

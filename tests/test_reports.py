@@ -67,8 +67,10 @@ def test_never_equal_to_a_tuple_of_its_fields(record):
 
 def test_unequal_when_a_field_differs(record):
     cls, fields, _ = record
-    first = next(iter(fields))
-    assert cls(**fields) != cls(**{**fields, first: ()})
+    first, value = next(iter(fields.items()))
+    # both forms keep their coefficient count from power 2 to 3 and from 1 to 2
+    other = value + 1 if first == "power" else ()
+    assert cls(**fields) != cls(**{**fields, first: other})
 
 
 def test_field_assignment_raises(record):
@@ -107,9 +109,10 @@ def test_repr_at_any_length_rebuilds_an_equal_value(value):
     assert rebuilt == value
 
 
-@pytest.mark.parametrize("cls", [FaulhaberForm, ShiftedForm])
-def test_parity_and_multiplier_follow_from_the_power(cls):
-    even, odd = cls(4, (F(1),)), cls(5, (F(1),))
+@pytest.mark.parametrize("cls, counts", [(FaulhaberForm, (2, 2)), (ShiftedForm, (3, 4))])
+def test_parity_and_multiplier_follow_from_the_power(cls, counts):
+    # counts: how many coefficients a form has at powers 4 and 5
+    even, odd = (cls(power, (F(1),) * count) for power, count in zip((4, 5), counts))
     assert (even.parity, odd.parity) == ("even", "odd")
     if cls is FaulhaberForm:
         assert even.multiplier is Multiplier.SUM_OF_SQUARES
@@ -118,9 +121,9 @@ def test_parity_and_multiplier_follow_from_the_power(cls):
         assert not hasattr(even, "multiplier")
     for extra in (dict(parity="even"), dict(multiplier=Multiplier.SUM_OF_SQUARES)):
         with pytest.raises(TypeError):
-            cls(4, (F(1),), **extra)
+            cls(4, even.coefficients, **extra)
     with pytest.raises(TypeError):
-        cls(4, "even", (F(1),))
+        cls(4, "even", even.coefficients)
 
 
 def test_a_polynomial_has_no_parity_or_multiplier():

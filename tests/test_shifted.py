@@ -127,6 +127,15 @@ class TestBackToMonomial:
         form = ShiftedForm(1, (F(1, 2), F(-1, 8)))
         assert shifted_to_monomial(form) == powersum_monomial(1)
 
+    @pytest.mark.parametrize("power, coefficients, count", [
+        (1, (F(1, 2), F(-1, 8), F(5)), 2),  # the extra entry would land on N^1
+        (2, (F(1, 3),), 2),
+        (3, (F(1, 4), F(-1, 8)), 3),
+    ])
+    def test_coefficient_count_must_match_power(self, power, coefficients, count):
+        with pytest.raises(ValueError, match=f"power {power} has {count} coefficients"):
+            ShiftedForm(power, coefficients)
+
     def test_roundtrip_suite_lists_triangular_then_shifted(self):
         report = verify_roundtrip(3)
         assert report.passed

@@ -173,7 +173,7 @@ class TestInductiveForm:
         assert faulhaber_form_inductive(7).coefficients == (F(2), F(-4, 3), F(1, 3))
 
     def test_agrees_with_direct_route(self):
-        for power in range(2, 31):
+        for power in [*range(2, 65), 101]:
             assert faulhaber_form_inductive(power) == faulhaber_form(power), power
 
     def test_power_one_excluded(self):
@@ -201,6 +201,15 @@ class TestExpansion:
     def test_expansion_of_handmade_form(self):
         form = FaulhaberForm(2, (F(1),))
         assert expand_to_monomial(form) == powersum_monomial(2)
+
+    @pytest.mark.parametrize("power, coefficients", [
+        (4, (F(1),)),  # one short: would expand to a false identity
+        (4, (F(6, 5), F(-1, 5), F(0))),
+        (3, ()),
+    ])
+    def test_coefficient_count_must_match_power(self, power, coefficients):
+        with pytest.raises(ValueError, match=f"power {power} has {power // 2} coefficients"):
+            FaulhaberForm(power, coefficients)
 
 
 class TestSquareInTriangular:
