@@ -82,7 +82,9 @@ def bernoulli_polynomial(m: int) -> Polynomial:
         raise ValueError("Bernoulli polynomial index must be >= 0")
     coeffs = [Fraction(0)] * (m + 1)
     for j in range(m + 1):
-        coeffs[m - j] = comb(m, j) * _DEFAULT_CACHE.get(j)
+        b = _DEFAULT_CACHE.get(j)
+        if b:
+            coeffs[m - j] = Fraction(comb(m, j) * b.numerator, b.denominator)
     return Polynomial(coeffs)
 
 

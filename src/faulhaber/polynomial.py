@@ -3,8 +3,8 @@
 Coefficients are `fractions.Fraction` values stored low-to-high, so index =
 degree. The zero polynomial is the empty coefficient tuple and every
 constructor strips trailing zeros, which makes equality plain sequence
-comparison. All arithmetic is exact. Every kernel but long division reads
-its operands as integer numerators over a common denominator, runs on
+comparison. All arithmetic is exact. Every kernel, long division included,
+reads its operands as integer numerators over a common denominator, runs on
 integers, and divides that denominator out once per output coefficient.
 """
 
@@ -150,23 +150,28 @@ class Polynomial(Record):
     __rmul__ = __mul__
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Long division over the rationals: self = q*other + r, deg r < deg other."""
+        """Long division over the rationals: self = q*other + r, deg r < deg other.
+
+        Pseudo-division on integers: with self = A/a, other = B/b and L the lead
+        of B, scaling A once by L**k, k the quotient's length, makes every
+        step's division by L exact; then q = Q*b / (a*L**k), r = R / (a*L**k).
+        """
         if not isinstance(other, Polynomial):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         dd = other.degree
-        lead = other.coeffs[-1]
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(0, len(rem) - dd)
+        nums, a = _over_common_denominator(self.coeffs)
+        div, b = _over_common_denominator(other.coeffs)
+        quot = [0] * max(0, len(nums) - dd)
+        scale = div[-1] ** len(quot)
+        rem = [x * scale for x in nums]
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                f = c / lead
-                quot[i - dd] = f
-                for j, b in enumerate(other.coeffs):
-                    rem[i - dd + j] -= f * b
-        return Polynomial(quot), Polynomial(rem[:dd])
+            if rem[i]:
+                f = quot[i - dd] = rem[i] // div[-1]
+                for j, y in enumerate(div):
+                    rem[i - dd + j] -= f * y
+        return _polynomial([x * b for x in quot], a * scale), _polynomial(rem[:dd], a * scale)
 
     # -- evaluation and composition ------------------------------------------
 

@@ -28,8 +28,10 @@ def powersum_monomial(m: int) -> Polynomial:
         raise ValueError("powersum_monomial requires m >= 0")
     coeffs = [Fraction(0)] * (m + 2)
     for j in range(m + 1):
-        sign = -1 if j % 2 else 1
-        coeffs[m + 1 - j] = Fraction(sign * comb(m + 1, j), m + 1) * bernoulli_number(j)
+        b = bernoulli_number(j)
+        if b:
+            c = comb(m + 1, j) * b.numerator
+            coeffs[m + 1 - j] = Fraction(-c if j % 2 else c, (m + 1) * b.denominator)
     return Polynomial(coeffs)
 
 

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faulhaber.polynomial import Polynomial, X, _combine
+from faulhaber.powersum import powersum_monomial
+from faulhaber.triangular import SQUARE_OF_SUM_OF_N
 
 F = Fraction
 
@@ -34,6 +36,10 @@ kernel_triples = st.lists(
     ),
     max_size=6,
 )
+# divisors: any lower coefficients under a nonzero lead, often a negative,
+# non-unit or fractional one; a lone lead is a constant divisor
+leads = st.one_of(st.sampled_from([F(-3, 7), F(-1), F(2), F(5, 3)]), gappy.filter(bool))
+divisor_lists = st.builds(lambda low, lead: [*low, lead], st.lists(gappy, max_size=5), leads)
 
 
 def reference_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Fraction]:
@@ -56,6 +62,22 @@ def reference_multiply(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def reference_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Long division of p by d, top down, in plain Fraction arithmetic."""
+    dd = d.degree
+    lead = d.coeffs[-1]
+    rem = list(p.coeffs)
+    quot = [F(0)] * max(0, len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            f = c / lead
+            quot[i - dd] = f
+            for j, b in enumerate(d.coeffs):
+                rem[i - dd + j] -= f * b
+    return Polynomial(quot), Polynomial(rem[:dd])
 
 
 def reference_evaluate(coeffs: list[Fraction], x: Fraction) -> Fraction:
@@ -350,3 +372,22 @@ class TestDivision:
         q, r = divmod(p, d)
         assert q * d + r == p
         assert r.is_zero or r.degree < d.degree
+
+    @given(wide_lists, divisor_lists)
+    @example([F(1), F(2), F(-5, 4), F(7)], [F(1), F(2), F(-3, 7)])
+    @example([F(4), F(-9, 2)], [F(5, 3)])
+    @example([F(1), F(2)], [F(0), F(0), F(0), F(2, 9)])
+    @example([], [F(1), F(-3, 7)])
+    @settings(max_examples=80, deadline=None)
+    def test_divmod_matches_fraction_long_division(self, dividend, divisor):
+        p, d = Polynomial(dividend), Polynomial(divisor)
+        q, r = divmod(p, d)
+        assert (q, r) == reference_divmod(p, d)
+        assert_canonical(q)
+        assert_canonical(r)
+
+    def test_remainder_of_a_non_divisible_power_sum(self):
+        p = powersum_monomial(5) + X
+        q, r = divmod(p, SQUARE_OF_SUM_OF_N)
+        assert not r.is_zero
+        assert (q, r) == reference_divmod(p, SQUARE_OF_SUM_OF_N)
