@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .polynomial import Polynomial
 from .reports import CheckLine, VerificationReport
@@ -80,12 +80,14 @@ def bernoulli_polynomial(m: int) -> Polynomial:
     """B_m(x) = sum(C(m, j) * B_j * x**(m-j) for j in 0..m)."""
     if m < 0:
         raise ValueError("Bernoulli polynomial index must be >= 0")
-    coeffs = [Fraction(0)] * (m + 1)
-    for j in range(m + 1):
-        b = _DEFAULT_CACHE.get(j)
-        if b:
-            coeffs[m - j] = Fraction(comb(m, j) * b.numerator, b.denominator)
-    return Polynomial(coeffs)
+    bs = [_DEFAULT_CACHE.get(j) for j in range(m + 1)]
+    den = lcm(*(b.denominator for b in bs))
+    nums = [0] * (m + 1)
+    binom = 1  # C(m, j)
+    for j, b in enumerate(bs):
+        nums[m - j] = binom * b.numerator * (den // b.denominator)
+        binom = binom * (m - j) // (j + 1)
+    return Polynomial(nums, den)
 
 
 def bernoulli_at_half(r: int) -> Fraction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import lcm
 
 from .bernoulli import bernoulli_number, bernoulli_polynomial
 from .polynomial import Polynomial, X
@@ -26,13 +26,14 @@ def powersum_monomial(m: int) -> Polynomial:
     """
     if m < 0:
         raise ValueError("powersum_monomial requires m >= 0")
-    coeffs = [Fraction(0)] * (m + 2)
-    for j in range(m + 1):
-        b = bernoulli_number(j)
-        if b:
-            c = comb(m + 1, j) * b.numerator
-            coeffs[m + 1 - j] = Fraction(-c if j % 2 else c, (m + 1) * b.denominator)
-    return Polynomial(coeffs)
+    bs = [bernoulli_number(j) for j in range(m + 1)]
+    den = lcm(*(b.denominator for b in bs))
+    nums = [0] * (m + 2)
+    binom = 1  # C(m+1, j)
+    for j, b in enumerate(bs):
+        nums[m + 1 - j] = (-1) ** j * binom * b.numerator * (den // b.denominator)
+        binom = binom * (m + 1 - j) // (j + 1)
+    return Polynomial(nums, (m + 1) * den)
 
 
 def powersum_via_bernoulli_poly(m: int) -> Polynomial:

@@ -13,36 +13,38 @@ from fractions import Fraction
 from math import comb
 
 from .bernoulli import bernoulli_number, bernoulli_polynomial
-from .polynomial import Polynomial, _combine, _polynomial
+from .polynomial import Polynomial
 from .powersum import powersum_monomial
 from .reports import CheckLine, VerificationReport
 
 
-def _he_ricci_table(m: int) -> list[tuple[list[int], int]]:
-    """B_0(x)..B_m(x) as `_combine` pairs, each summed from the entries before it."""
-    table = [([1], 1)]
+def _he_ricci_table(m: int) -> list[Polynomial]:
+    """B_0(x)..B_m(x), each summed from the entries before it."""
+    table = [Polynomial((1,))]
     for i in range(1, m + 1):
-        nums, den = table[i - 1]
+        prev = table[i - 1]
         tail = [
-            (Fraction(-comb(i, r), i) * bernoulli_number(i - r), *table[r]) for r in range(i - 1)
+            (Fraction(-comb(i, r), i) * bernoulli_number(i - r), table[r]) for r in range(i - 1)
         ]
         # (x - 1/2) B_(i-1) minus the scaled tail
-        table.append(_combine([(1, [0, *nums], den), (Fraction(-1, 2), nums, den)] + tail))
+        x_prev = Polynomial((0, *prev.numerators), prev.denominator)
+        table.append(Polynomial.combination([(1, x_prev), (Fraction(-1, 2), prev)] + tail))
     return table
 
 
-def _partial_sum_table(m: int) -> list[tuple[list[int], int] | None]:
-    """None, then S_1(x)..S_m(x) as `_combine` pairs, each summed from the entries before it."""
-    table: list[tuple[list[int], int] | None] = [None, ([0, 1, 1], 2)]
+def _partial_sum_table(m: int) -> list[Polynomial | None]:
+    """None, then S_1(x)..S_m(x), each summed from the entries before it."""
+    table: list[Polynomial | None] = [None, Polynomial((0, 1, 1), 2)]
     for i in range(2, m + 1):
-        nums, den = table[i - 1]
+        prev = table[i - 1]
         lower = range(1, i - 1)
         # only B_2 .. B_(i-1) may enter; B_1's sign convention must stay out
         assert all(2 <= i - r <= i - 1 for r in lower)
-        tail = [(Fraction(-comb(i, r), i + 1) * bernoulli_number(i - r), *table[r]) for r in lower]
+        tail = [(Fraction(-comb(i, r), i + 1) * bernoulli_number(i - r), table[r]) for r in lower]
         # (i (x + 1/2) S_(i-1) - sum) / (i + 1), with the tail already scaled
-        lifted = [(Fraction(i, i + 1), [0, *nums], den), (Fraction(i, 2 * (i + 1)), nums, den)]
-        table.append(_combine(lifted + tail))
+        x_prev = Polynomial((0, *prev.numerators), prev.denominator)
+        lifted = [(Fraction(i, i + 1), x_prev), (Fraction(i, 2 * (i + 1)), prev)]
+        table.append(Polynomial.combination(lifted + tail))
     return table
 
 
@@ -55,7 +57,7 @@ def he_ricci_polynomial(m: int) -> Polynomial:
     """
     if m < 0:
         raise ValueError("index must be >= 0")
-    return _polynomial(*_he_ricci_table(m)[m])
+    return _he_ricci_table(m)[m]
 
 
 def partial_sum_polynomial(m: int) -> Polynomial:
@@ -68,7 +70,7 @@ def partial_sum_polynomial(m: int) -> Polynomial:
     """
     if m < 2:
         raise ValueError("the recurrence starts at m = 2")
-    return _polynomial(*_partial_sum_table(m)[m])
+    return _partial_sum_table(m)[m]
 
 
 def verify_recurrence_consistency(max_m: int) -> VerificationReport:
@@ -84,8 +86,8 @@ def verify_recurrence_consistency(max_m: int) -> VerificationReport:
     sum_table = _partial_sum_table(max_m)
     lines = []
     for m in range(1, max_m + 1):
-        ok = _polynomial(*bernoulli_table[m]) == bernoulli_polynomial(m)
+        ok = bernoulli_table[m] == bernoulli_polynomial(m)
         if m >= 2:
-            ok = ok and _polynomial(*sum_table[m]) == powersum_monomial(m)
+            ok = ok and sum_table[m] == powersum_monomial(m)
         lines.append(CheckLine(f"recurrences agree at index {m}", ok))
     return VerificationReport(name="recurrence", lines=tuple(lines))

@@ -53,12 +53,12 @@ _LATEX_MULTIPLIER = {
 }
 
 
-def _terms(poly: Polynomial, variable: str, fmt: str) -> str:
-    """poly's non-zero terms, highest power first, in a text format."""
+def _terms(coeffs: Sequence[Fraction | int], variable: str, fmt: str) -> str:
+    """The non-zero terms of the low-to-high `coeffs`, highest power first, in a text format."""
     fraction, power, product, signs = _FORMATS[fmt]
     parts: list[str] = []
-    for k in range(poly.degree, -1, -1):
-        coeff = poly.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        coeff = coeffs[k]
         if coeff == 0:
             continue
         magnitude = abs(coeff)
@@ -87,7 +87,7 @@ def _json(power: int, basis: str, multiplier: str | None, coefficients: Sequence
 def render_monomial(power: int, poly: Polynomial, fmt: str) -> str:
     if fmt == "json":
         return _json(power, "monomial", None, poly.coeffs or (0,), "degree-ascending")
-    return _terms(poly, "n", fmt)
+    return _terms(poly.coeffs, "n", fmt)
 
 
 def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
@@ -99,7 +99,7 @@ def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
                      "paper-descending")
     if form is None:
         return _S1[fmt]
-    inner = _terms(form.u_polynomial(), _S1[fmt], fmt)
+    inner = _terms(form.coefficients[::-1], _S1[fmt], fmt)
     if fmt == "plain":
         return f"({inner}) * {form.multiplier.value}"
     return rf"\left[{inner}\right]" + _LATEX_MULTIPLIER[form.multiplier]
@@ -108,17 +108,17 @@ def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
 def render_shifted(form: ShiftedForm, fmt: str) -> str:
     if fmt == "json":
         return _json(form.power, "shifted", None, form.coefficients, "paper-descending")
-    poly = form.shift_polynomial()
+    coeffs = form.shift_polynomial().coeffs
     even = form.parity == "even"
     if even:
         # an even power gives an odd polynomial in N: its N^0 slot is zero, and
         # dropping it leaves the part inside N*(...)
-        poly = Polynomial(poly.coeffs[1:])
-    inner = _terms(poly, "N", fmt)
+        coeffs = coeffs[1:]
+    inner = _terms(coeffs, "N", fmt)
     if fmt == "latex":
         return rf"N\left({inner}\right)" if even else inner
     return (f"N*({inner})" if even else inner) + "  where N = n + 1/2"
 
 
 def render_polynomial_in_x(poly: Polynomial) -> str:
-    return _terms(poly, "x", "plain")
+    return _terms(poly.coeffs, "x", "plain")

@@ -61,10 +61,8 @@ class ShiftedForm(Record):
 
     def shift_polynomial(self) -> Polynomial:
         """The form as a low-to-high polynomial in N."""
-        top = self.power + 1
-        coeffs = [Fraction(0)] * (top + 1)
-        for i, c in enumerate(self.coefficients):
-            coeffs[top - 2 * i] = c
+        coeffs = [0] * (self.power + 2)
+        coeffs[::-2] = self.coefficients  # N^(power+1), N^(power-1), ...
         return Polynomial(coeffs)
 
 
@@ -76,14 +74,13 @@ def _extract(power: int, shift_poly: Polynomial) -> ShiftedForm:
             f"shifted form for power {power} has degree {shift_poly.degree}, expected {top}"
         )
     # exactly one parity of exponent may be present
-    for k in range(top + 1):
-        if (k - top) % 2 and shift_poly.coefficient(k) != 0:
+    for k in range(top - 1, -1, -2):
+        if shift_poly.numerators[k]:
             raise ConsistencyError(
                 f"shifted form for power {power} has a stray N^{k} term"
             )
     # entries for N^top, N^(top-2), ..., down to N^1 (even power) or N^0 (odd power)
-    coeffs = tuple(shift_poly.coefficient(k) for k in range(top, -1, -2))
-    return ShiftedForm(power, coeffs)
+    return ShiftedForm(power, shift_poly.coeffs[::-2])
 
 
 def shifted_form(power: int) -> ShiftedForm:

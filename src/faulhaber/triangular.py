@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 
 from .bernoulli import bernoulli_number
-from .polynomial import Polynomial, X, _combine, _over_common_denominator, _polynomial
+from .polynomial import Polynomial, X
 from .powersum import powersum_monomial
 from .reports import CheckLine, Record, VerificationReport
 
@@ -99,7 +99,7 @@ def _wrap_form(power: int, u_poly: Polynomial) -> FaulhaberForm:
         raise ConsistencyError(
             f"triangular form for power {power} has u-degree {u_poly.degree}, expected {m - 1}"
         )
-    return FaulhaberForm(power, tuple(u_poly.coefficient(m - 1 - i) for i in range(m)))
+    return FaulhaberForm(power, u_poly.coeffs[::-1])
 
 
 def triangular_decompose(p: Polynomial) -> Polynomial:
@@ -108,8 +108,8 @@ def triangular_decompose(p: Polynomial) -> Polynomial:
     Strips leading terms: a degree-2d head with leading coefficient c forces
     the u**d coefficient c * 2**d; subtracting that multiple of u**d must
     again leave an even-degree (or zero) remainder, otherwise p was never a
-    polynomial in u. The strip runs on p's integer numerators over their
-    common denominator L, in the monic w = n**2 + n = 2u: w**d is
+    polynomial in u. The strip runs on p's integer numerators over its
+    denominator L, in the monic w = n**2 + n = 2u: w**d is
     sum(C(d, j) * n**(d+j)), and its multiple c/L is (c * 2**d / L) u**d.
     """
     if p.is_zero:
@@ -117,8 +117,7 @@ def triangular_decompose(p: Polynomial) -> Polynomial:
     if p.degree % 2:
         raise NotTriangular(f"degree {p.degree} is odd")
     half = p.degree // 2
-    rem, den = _over_common_denominator(p.coeffs)
-    rem.append(0)  # the first step reads index 2 * half + 1
+    rem = [*p.numerators, 0]  # the first step reads index 2 * half + 1
     out = []
     for d in range(half, -1, -1):
         if rem[2 * d + 1]:
@@ -129,8 +128,8 @@ def triangular_decompose(p: Polynomial) -> Polynomial:
             for j in range(d + 1):
                 rem[d + j] -= c * binom
                 binom = binom * (d - j) // (j + 1)
-        out.append(Fraction(c << d, den))
-    return Polynomial(reversed(out))
+        out.append(c << d)
+    return Polynomial(out[::-1], p.denominator)
 
 
 def faulhaber_form(power: int) -> FaulhaberForm:
@@ -156,23 +155,23 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
     first bridge identity. The step to an odd power additionally produces a
     stray B_(p-1) * (sum k) term which must cancel exactly against
     (constant term)/6 of the even form below it; a nonzero residue would
-    falsify the construction, so it raises ConsistencyError. Forms are held
-    as `_combine` pairs, and each step's factor p/(p+1) is folded into every
-    scalar.
+    falsify the construction, so it raises ConsistencyError. Each step's
+    factor p/(p+1) is folded into every scalar of one combination.
     """
-    forms = {2: ([1], 1), 3: ([1], 1)}
+    forms = {2: Polynomial((1,)), 3: Polynomial((1,))}
     for p in range(4, power + 1):
         # forms[p - 2j] has the parity of p, and so the multiplier of forms[p]
         lower = [
-            (Fraction(-comb(p, 2 * j), p + 1) * bernoulli_number(2 * j), *forms[p - 2 * j])
+            (Fraction(-comb(p, 2 * j), p + 1) * bernoulli_number(2 * j), forms[p - 2 * j])
             for j in range(1, p // 2)
         ]
-        nums, den = forms[p - 1]
+        f = forms[p - 1]
         if p % 2 == 0:
             # first bridge identity: (n+1/2) f(u) (sum k)^2 = (3/2) u f(u) sum(k^2)
-            lifted = [(Fraction(3 * p, 2 * (p + 1)), [0, *nums], den)]
+            u_f = Polynomial((0, *f.numerators), f.denominator)
+            lifted = [(Fraction(3 * p, 2 * (p + 1)), u_f)]
         else:
-            if Fraction(nums[0], 6 * den) != bernoulli_number(p - 1):
+            if f.coefficient(0) / 6 != bernoulli_number(p - 1):
                 raise ConsistencyError(
                     f"stray linear-sum term at power {p}: constant/6 != B_{p - 1}"
                 )
@@ -180,12 +179,12 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
             # (4/3 f(u) + (f(u) - f(0))/(6u)) (sum k)^2 + (f(0)/6) sum k,
             # and the trailing piece is exactly the stray term cancelled above.
             lifted = [
-                (Fraction(4 * p, 3 * (p + 1)), nums, den),
-                (Fraction(p, 6 * (p + 1)), nums[1:], den),
+                (Fraction(4 * p, 3 * (p + 1)), f),
+                (Fraction(p, 6 * (p + 1)), Polynomial(f.numerators[1:], f.denominator)),
             ]
         # forms[p] = p/(p+1) * (lifted - sum(b_j * forms[p - 2j])), b_j = C(p, 2j)/p * B_2j
-        forms[p] = _combine(lifted + lower)
-    return _polynomial(*forms[power])
+        forms[p] = Polynomial.combination(lifted + lower)
+    return forms[power]
 
 
 def faulhaber_form_inductive(power: int) -> FaulhaberForm:
@@ -243,12 +242,15 @@ def verify_lemma(max_n: int) -> VerificationReport:
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     symbolic = _bridge_identities(X, U_OF_N, SUM_OF_SQUARES_OF_N)
-    numeric = [_bridge_identities(n, s1, s2) for n, s1, s2 in _running_sums(max_n)]
+    first_bad = [None] * len(symbolic)  # per identity, the first n at which it fails
+    for n, s1, s2 in _running_sums(max_n):
+        for i, ok in enumerate(_bridge_identities(n, s1, s2)):
+            if not ok and first_bad[i] is None:
+                first_bad[i] = n
     lines = [CheckLine(f"identity {i}, polynomial", ok) for i, ok in enumerate(symbolic, 1)]
-    for i in range(len(symbolic)):
-        bad = next((n for n, oks in enumerate(numeric, 1) if not oks[i]), None)
+    for i, bad in enumerate(first_bad, 1):
         failure = f" (first failure n={bad})" if bad else ""
-        lines.append(CheckLine(f"identity {i + 1}, integers n <= {max_n}{failure}", bad is None))
+        lines.append(CheckLine(f"identity {i}, integers n <= {max_n}{failure}", bad is None))
     return VerificationReport(name="lemma", lines=tuple(lines))
 
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faulhaber.polynomial import Polynomial, X, _combine
+from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import powersum_monomial
-from faulhaber.triangular import SQUARE_OF_SUM_OF_N
+from faulhaber.recurrence import he_ricci_polynomial, partial_sum_polynomial
+from faulhaber.triangular import SQUARE_OF_SUM_OF_N, _inductive_u_polynomial
 
 F = Fraction
 
@@ -25,7 +26,7 @@ narrow_lists = st.lists(gappy, max_size=4)
 wide_polys = wide_lists.map(Polynomial)
 scalars = st.one_of(st.just(0), st.integers(-30, 30), gappy)
 terms_lists = st.lists(st.tuples(scalars, wide_polys), max_size=6)
-# (scalar, integer numerators, positive denominator) triples for the kernel itself
+# (scalar, integer numerators, positive denominator) triples: operands built from stored fields
 huge = st.integers(-(10**80), 10**80)
 kernel_scalars = st.one_of(scalars, st.builds(F, huge, st.integers(1, 10**40)))
 kernel_triples = st.lists(
@@ -40,6 +41,14 @@ kernel_triples = st.lists(
 # non-unit or fractional one; a lone lead is a constant divisor
 leads = st.one_of(st.sampled_from([F(-3, 7), F(-1), F(2), F(5, 3)]), gappy.filter(bool))
 divisor_lists = st.builds(lambda low, lead: [*low, lead], st.lists(gappy, max_size=5), leads)
+
+
+def stripped(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """coeffs without trailing zeros, as a tuple."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def reference_compose(outer: list[Fraction], inner: list[Fraction]) -> list[Fraction]:
@@ -101,10 +110,14 @@ def reference_combination(terms) -> tuple[Fraction, ...]:
 
 
 def assert_canonical(p: Polynomial) -> None:
-    assert not p.coeffs or p.coeffs[-1] != 0
-    for c in p.coeffs:
-        assert type(c) is Fraction and c.denominator > 0
-        assert math.gcd(c.numerator, c.denominator) == 1
+    """The stored fields are canonical, and every way of rebuilding p agrees with it."""
+    assert type(p.numerators) is tuple
+    assert all(type(x) is int for x in p.numerators)
+    assert not p.numerators or p.numerators[-1] != 0
+    assert type(p.denominator) is int and p.denominator > 0
+    assert math.gcd(p.denominator, *p.numerators) == 1
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert Polynomial(p.coeffs) == p == Polynomial(p.numerators, p.denominator)
 
 
 class TestCanonicalForm:
@@ -122,6 +135,19 @@ class TestCanonicalForm:
     def test_constant_degree(self):
         assert Polynomial((5,)).degree == 0
         assert X.degree == 1
+
+    def test_fields_are_reduced(self):
+        p = Polynomial((F(1, 2), F(-1, 8)))
+        assert (p.numerators, p.denominator) == ((4, -1), 8)
+        assert Polynomial((6, 0, -2, 0), 4) == Polynomial((F(3, 2), 0, F(-1, 2)))
+        assert Polynomial((F(1, 2), 1), 3).coeffs == (F(1, 6), F(1, 3))
+        assert (Polynomial((0, 0), 6).numerators, Polynomial((0, 0), 6).denominator) == ((), 1)
+
+    @pytest.mark.parametrize("den, error", [(0, ValueError), (-3, ValueError), (2.0, TypeError),
+                                            (True, TypeError), (F(2), TypeError)])
+    def test_denominator_must_be_a_positive_int(self, den, error):
+        with pytest.raises(error, match="denominator"):
+            Polynomial((1, 2), den)
 
     def test_equality_is_structural(self):
         assert Polynomial((0, F(1, 2), F(1, 2))) == Polynomial([F(0), F(2, 4), F(1, 2), F(0)])
@@ -147,10 +173,41 @@ class TestCanonicalForm:
 
     @given(polys, polys)
     def test_coefficients_stay_reduced_with_positive_denominator(self, p, q):
-        # the scalar contract: every stored rational is canonical
+        # the scalar contract: every coefficient read back is canonical
         for c in (p * q + p - q).coeffs:
             assert c.denominator > 0
             assert math.gcd(c.numerator, c.denominator) == 1
+
+    @given(
+        wide_lists,
+        st.lists(st.one_of(st.integers(-30, 30), huge), max_size=8),
+        st.one_of(st.integers(1, 60), st.integers(1, 10**40)),
+        terms_lists,
+        small_polys,
+        divisor_lists,
+        st.integers(2, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_route_stores_canonical_fields(self, fractions, ints, den, terms, q, divisor, m):
+        from_fractions, from_ints = Polynomial(fractions), Polynomial(ints, den)
+        assert from_fractions.coeffs == stripped(fractions)
+        assert from_ints.coeffs == stripped([F(x, den) for x in ints])
+        quotient, remainder = divmod(from_fractions, Polynomial(divisor))
+        for p in (
+            from_fractions,
+            from_ints,
+            Polynomial.combination(terms),
+            from_fractions * q,
+            from_ints * from_fractions,
+            quotient,
+            remainder,
+            from_ints.compose(q),
+            q.compose(from_ints),
+            _inductive_u_polynomial(m),
+            he_ricci_polynomial(m),
+            partial_sum_polynomial(m),
+        ):
+            assert_canonical(p)
 
 
 class TestArithmetic:
@@ -237,16 +294,15 @@ class TestCombination:
     @example([(-1, [2, 4], 6), (1, [1, 2], 3)])  # cancels to zero over 1
     @settings(max_examples=80, deadline=None)
     def test_kernel_matches_fraction_sum_and_is_reduced(self, scaled):
-        nums, den = _combine(scaled)
+        result = Polynomial.combination((c, Polynomial(xs, d)) for c, xs, d in scaled)
         expected: list[Fraction] = []
         for c, xs, d in scaled:
             if c:
                 expected += [F(0)] * (len(xs) - len(expected))
                 for i, x in enumerate(xs):
                     expected[i] += c * F(x, d)
-        assert [F(x, den) for x in nums] == expected
-        assert den > 0
-        assert math.gcd(den, *nums) == 1
+        assert result.coeffs == stripped(expected)
+        assert_canonical(result)
 
     @given(terms_lists)
     @settings(max_examples=40, deadline=None)

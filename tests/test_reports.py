@@ -35,8 +35,8 @@ RECORDS = [
     ),
     (
         Polynomial,
-        dict(coeffs=(F(1, 2), F(-1, 8))),
-        "Polynomial(coeffs=(Fraction(1, 2), Fraction(-1, 8)))",
+        dict(numerators=(4, -1), denominator=8),
+        "Polynomial(numerators=(4, -1), denominator=8)",
     ),
 ]
 #: every record class by name, and Fraction: what a repr needs to be evaluated

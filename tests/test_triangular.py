@@ -4,6 +4,7 @@ identities, and the constant-term link back to the Bernoulli numbers."""
 from __future__ import annotations
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,18 @@ class TestLemma:
         elapsed = time.perf_counter() - start
         assert report.passed, report.first_failure
         assert elapsed < 5.0, f"verify_lemma(20000) exceeded its 5 s budget ({elapsed:.2f} s)"
+
+    def test_integer_sweep_memory_does_not_grow_with_the_bound(self):
+        # one pass that keeps only the first failing n; a list per n held ~3.4 MB here
+        verify_lemma(1)  # the polynomial side's one-off allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            report = verify_lemma(50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed, report.first_failure
+        assert peak < 2**20, f"verify_lemma(50000) peaked at {peak} bytes"
 
 
 class TestConstantTermBridge:
