@@ -29,13 +29,17 @@ class BernoulliCache:
 
     Reads of already-published indices are lock-free (entries are immutable
     Fractions appended whole); extension is serialized so concurrent callers
-    never observe a partially built table.
+    never observe a partially built table. An exception at any point of an
+    extension (KeyboardInterrupt, MemoryError) leaves the table consistent:
+    the numerators and their denominator are replaced together, as one
+    attribute, and an index is published by appending its Fraction last.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
-        self._nums: list[int] = [1]
-        self._den = 1
+        # (numerators, common denominator); numerators past len(_values) were
+        # left by an interrupted extension and are dropped before the next one
+        self._ints: tuple[list[int], int] = ([1], 1)
         self._lock = threading.Lock()
 
     @property
@@ -53,17 +57,18 @@ class BernoulliCache:
         with self._lock:
             while len(self._values) <= m:
                 n = len(self._values)
+                nums, den = self._ints
+                del nums[n:]
                 acc = 0
                 binom = 1  # C(n+1, k)
-                for k, num in enumerate(self._nums):
+                for k, num in enumerate(nums):
                     acc += binom * num
                     binom = binom * (n + 1 - k) // (k + 1)
-                value = Fraction(-acc, (n + 1) * self._den)
-                if self._den % value.denominator:
-                    scale = lcm(self._den, value.denominator) // self._den
-                    self._nums = [num * scale for num in self._nums]
-                    self._den *= scale
-                self._nums.append(value.numerator * (self._den // value.denominator))
+                value = Fraction(-acc, (n + 1) * den)
+                if den % value.denominator:
+                    scale = lcm(den, value.denominator) // den
+                    self._ints = nums, den = [num * scale for num in nums], den * scale
+                nums.append(value.numerator * (den // value.denominator))
                 self._values.append(value)
             return self._values[m]
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (all verifications passed), 1 a verification suite
 found a counterexample, a consistency check failed or stdout closed early, 2
-usage error. Results go to stdout, diagnostics to stderr. There is no
+usage error, 130 interrupted (Ctrl-C, SIGINT), with one `error:` line in place
+of a traceback. Results go to stdout, diagnostics to stderr. There is no
 configuration beyond the flags; identical invocations print identical bytes.
 """
 
@@ -178,6 +179,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before the output was all written", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

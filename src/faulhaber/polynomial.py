@@ -49,6 +49,27 @@ def _horner(p: Polynomial, inner: Sequence[int], b: int) -> tuple[list[int], int
     return acc, p.denominator * scale
 
 
+def _combine(terms: Iterable[tuple[int, int, Polynomial]]) -> Polynomial:
+    """The sum of (a / b) * p over the (a, b, p) triples in `terms`, b > 0, on integers.
+
+    Each pair is first reduced by gcd(a, b), so the common denominator is the
+    lcm of the reduced b times p's denominator, and each p's numerators enter
+    scaled by one integer.
+    """
+    kept = []
+    for a, b, p in terms:
+        if a and p.numerators:
+            g = gcd(a, b)
+            kept.append((a // g, b // g * p.denominator, p.numerators))
+    den = lcm(*(b for _, b, _ in kept))
+    out = [0] * max((len(nums) for _, _, nums in kept), default=0)
+    for a, b, nums in kept:
+        a *= den // b
+        for i, x in enumerate(nums):
+            out[i] += a * x
+    return Polynomial(out, den)
+
+
 class Polynomial(Record):
     """Immutable dense polynomial in one formal variable."""
 
@@ -104,14 +125,7 @@ class Polynomial(Record):
     def combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Polynomial:
         """The sum of c * p over the (c, p) pairs in `terms`; each c is an int or a Fraction."""
         message = "scalars must be an int or Fraction"
-        terms = [(c, p) for c, p in terms if _exact(c, message) and p.numerators]
-        den = lcm(*(c.denominator * p.denominator for c, p in terms))
-        out = [0] * max((len(p.numerators) for _, p in terms), default=0)
-        for c, p in terms:
-            a = c.numerator * (den // (c.denominator * p.denominator))
-            for i, x in enumerate(p.numerators):
-                out[i] += a * x
-        return Polynomial(out, den)
+        return _combine((_exact(c, message).numerator, c.denominator, p) for c, p in terms)
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):

@@ -9,42 +9,52 @@ convention lives solely in powersum_monomial and must not leak in here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .bernoulli import bernoulli_number, bernoulli_polynomial
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _combine
 from .powersum import powersum_monomial
 from .reports import CheckLine, VerificationReport
 
 
+def _bernoulli_pairs(m: int) -> list[tuple[int, int]]:
+    """B_0..B_m as (numerator, denominator) pairs, each read once."""
+    return [bernoulli_number(k).as_integer_ratio() for k in range(m + 1)]
+
+
 def _he_ricci_table(m: int) -> list[Polynomial]:
     """B_0(x)..B_m(x), each summed from the entries before it."""
+    bernoulli = _bernoulli_pairs(m)
     table = [Polynomial((1,))]
     for i in range(1, m + 1):
         prev = table[i - 1]
-        tail = [
-            (Fraction(-comb(i, r), i) * bernoulli_number(i - r), table[r]) for r in range(i - 1)
-        ]
+        tail = []
+        for r in range(i - 1):
+            num, den = bernoulli[i - r]
+            tail.append((-comb(i, r) * num, i * den, table[r]))
         # (x - 1/2) B_(i-1) minus the scaled tail
         x_prev = Polynomial((0, *prev.numerators), prev.denominator)
-        table.append(Polynomial.combination([(1, x_prev), (Fraction(-1, 2), prev)] + tail))
+        table.append(_combine([(1, 1, x_prev), (-1, 2, prev)] + tail))
     return table
 
 
 def _partial_sum_table(m: int) -> list[Polynomial | None]:
     """None, then S_1(x)..S_m(x), each summed from the entries before it."""
+    bernoulli = _bernoulli_pairs(m)
     table: list[Polynomial | None] = [None, Polynomial((0, 1, 1), 2)]
     for i in range(2, m + 1):
         prev = table[i - 1]
         lower = range(1, i - 1)
         # only B_2 .. B_(i-1) may enter; B_1's sign convention must stay out
         assert all(2 <= i - r <= i - 1 for r in lower)
-        tail = [(Fraction(-comb(i, r), i + 1) * bernoulli_number(i - r), table[r]) for r in lower]
+        tail = []
+        for r in lower:
+            num, den = bernoulli[i - r]
+            tail.append((-comb(i, r) * num, (i + 1) * den, table[r]))
         # (i (x + 1/2) S_(i-1) - sum) / (i + 1), with the tail already scaled
         x_prev = Polynomial((0, *prev.numerators), prev.denominator)
-        lifted = [(Fraction(i, i + 1), x_prev), (Fraction(i, 2 * (i + 1)), prev)]
-        table.append(Polynomial.combination(lifted + tail))
+        lifted = [(i, i + 1, x_prev), (i, 2 * (i + 1), prev)]
+        table.append(_combine(lifted + tail))
     return table
 
 

@@ -108,7 +108,7 @@ def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
 def render_shifted(form: ShiftedForm, fmt: str) -> str:
     if fmt == "json":
         return _json(form.power, "shifted", None, form.coefficients, "paper-descending")
-    coeffs = form.shift_polynomial().coeffs
+    coeffs = form.slots()
     even = form.parity == "even"
     if even:
         # an even power gives an odd polynomial in N: its N^0 slot is zero, and

@@ -59,11 +59,15 @@ class ShiftedForm(Record):
 
     parity = FaulhaberForm.parity  # "even" or "odd", from the power, as for a triangular form
 
+    def slots(self) -> list[Fraction | int]:
+        """The coefficients laid low-to-high by power of N, 0 in the other parity's slots."""
+        coeffs: list[Fraction | int] = [0] * (self.power + 2)
+        coeffs[::-2] = self.coefficients  # N^(power+1), N^(power-1), ...
+        return coeffs
+
     def shift_polynomial(self) -> Polynomial:
         """The form as a low-to-high polynomial in N."""
-        coeffs = [0] * (self.power + 2)
-        coeffs[::-2] = self.coefficients  # N^(power+1), N^(power-1), ...
-        return Polynomial(coeffs)
+        return Polynomial(self.slots())
 
 
 def _extract(power: int, shift_poly: Polynomial) -> ShiftedForm:

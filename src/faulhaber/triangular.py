@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 
 from .bernoulli import bernoulli_number
-from .polynomial import Polynomial, X
+from .polynomial import Polynomial, X, _combine
 from .powersum import powersum_monomial
 from .reports import CheckLine, Record, VerificationReport
 
@@ -156,22 +156,27 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
     stray B_(p-1) * (sum k) term which must cancel exactly against
     (constant term)/6 of the even form below it; a nonzero residue would
     falsify the construction, so it raises ConsistencyError. Each step's
-    factor p/(p+1) is folded into every scalar of one combination.
+    factor p/(p+1) is folded into every scalar of one combination, and every
+    scalar is a pair of integers (numerator, denominator).
     """
+    # B_k as (numerator, denominator), read once; only even k >= 2 enter
+    bernoulli = {k: bernoulli_number(k).as_integer_ratio() for k in range(2, power, 2)}
     forms = {2: Polynomial((1,)), 3: Polynomial((1,))}
     for p in range(4, power + 1):
         # forms[p - 2j] has the parity of p, and so the multiplier of forms[p]
-        lower = [
-            (Fraction(-comb(p, 2 * j), p + 1) * bernoulli_number(2 * j), forms[p - 2 * j])
-            for j in range(1, p // 2)
-        ]
+        lower = []
+        for j in range(1, p // 2):
+            num, den = bernoulli[2 * j]
+            lower.append((-comb(p, 2 * j) * num, (p + 1) * den, forms[p - 2 * j]))
         f = forms[p - 1]
         if p % 2 == 0:
             # first bridge identity: (n+1/2) f(u) (sum k)^2 = (3/2) u f(u) sum(k^2)
             u_f = Polynomial((0, *f.numerators), f.denominator)
-            lifted = [(Fraction(3 * p, 2 * (p + 1)), u_f)]
+            lifted = [(3 * p, 2 * (p + 1), u_f)]
         else:
-            if f.coefficient(0) / 6 != bernoulli_number(p - 1):
+            num, den = bernoulli[p - 1]
+            constant = f.numerators[0] if f.numerators else 0
+            if constant * den != 6 * f.denominator * num:  # f(0) / 6 != B_(p-1)
                 raise ConsistencyError(
                     f"stray linear-sum term at power {p}: constant/6 != B_{p - 1}"
                 )
@@ -179,11 +184,11 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
             # (4/3 f(u) + (f(u) - f(0))/(6u)) (sum k)^2 + (f(0)/6) sum k,
             # and the trailing piece is exactly the stray term cancelled above.
             lifted = [
-                (Fraction(4 * p, 3 * (p + 1)), f),
-                (Fraction(p, 6 * (p + 1)), Polynomial(f.numerators[1:], f.denominator)),
+                (4 * p, 3 * (p + 1), f),
+                (p, 6 * (p + 1), Polynomial(f.numerators[1:], f.denominator)),
             ]
         # forms[p] = p/(p+1) * (lifted - sum(b_j * forms[p - 2j])), b_j = C(p, 2j)/p * B_2j
-        forms[p] = Polynomial.combination(lifted + lower)
+        forms[p] = _combine(lifted + lower)
     return forms[power]
 
 

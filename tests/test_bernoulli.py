@@ -160,6 +160,64 @@ class TestCache:
         assert results[300][:151] == RECURRENCE
 
 
+def raise_at_opcode(cache: BernoulliCache, m: int, count: int, exc: type[BaseException]) -> bool:
+    """Call cache.get(m), raising exc before the count-th opcode run in get itself.
+
+    Returns whether exc was raised, i.e. whether get ran that many opcodes.
+    An exception raised by a trace function surfaces in the traced frame, as
+    an asynchronous KeyboardInterrupt or a MemoryError would.
+    """
+    code = BernoulliCache.get.__code__
+    seen = 0
+
+    def local(frame, event, arg):
+        nonlocal seen
+        if event == "opcode":
+            seen += 1
+            if seen == count:
+                raise exc
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        return local
+
+    sys.settrace(calls)
+    try:
+        cache.get(m)
+    except exc:
+        return True
+    finally:
+        sys.settrace(None)
+    return False
+
+
+class TestInterruptedExtension:
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, MemoryError])
+    def test_failure_at_every_opcode_leaves_a_consistent_table(self, exc):
+        # 10 -> 12 extends once without a new denominator (B_11 = 0) and once
+        # with one (B_12 = -691/2730 brings in 13)
+        fresh = [BernoulliCache().get(m) for m in range(41)]
+        count = 0
+        while True:
+            count += 1
+            cache = BernoulliCache()
+            cache.get(10)
+            raised = raise_at_opcode(cache, 12, count, exc)
+            if cache._lock.locked():
+                # raised inside the with statement's own exit call, which no
+                # Python code can guard; by then both indices are published
+                assert cache.high_water == 12, count
+                cache._lock.release()
+            assert [cache.get(m) for m in range(41)] == fresh, count
+            if not raised:
+                break
+        assert count > 100  # every opcode of both extensions was reached
+
+
 class TestPolynomials:
     def test_degree_zero(self):
         assert bernoulli_polynomial(0) == Polynomial((1,))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from decimal import Decimal
@@ -369,6 +370,28 @@ class TestNumbersOfAnyLength:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b"error: stdout was closed before the output was all written\n"
+
+    def test_ctrl_c_is_one_line_exit_130(self):
+        # the handler says "ready" once main is inside it, then fills B_0..B_20000,
+        # which takes far longer than the wait below allows
+        script = (
+            "import sys\n"
+            "from faulhaber import cli\n"
+            "handler = cli._cmd_bernoulli\n"
+            "def ready(args):\n"
+            "    print('ready', file=sys.stderr, flush=True)\n"
+            "    return handler(args)\n"
+            "cli._cmd_bernoulli = ready\n"
+            "sys.exit(cli.main(['bernoulli', '20000']))\n"
+        )
+        proc = _cli_process("-c", script)
+        try:
+            assert proc.stderr.readline() == b"ready\n"
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, out, err) == (130, b"", b"error: interrupted\n")
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faulhaber.polynomial import Polynomial, X
+from faulhaber.polynomial import Polynomial, X, _combine
 from faulhaber.powersum import powersum_monomial
 from faulhaber.recurrence import he_ricci_polynomial, partial_sum_polynomial
 from faulhaber.triangular import SQUARE_OF_SUM_OF_N, _inductive_u_polynomial
@@ -36,6 +36,19 @@ kernel_triples = st.lists(
         st.one_of(st.integers(1, 60), st.integers(1, 10**40)),
     ),
     max_size=6,
+)
+# (numerator, denominator) pairs for the integer kernel, scaled by a common factor
+# g so that most are unreduced, zero and negative numerators included
+kernel_pairs = st.builds(
+    lambda g, a, b: (g * a, g * b),
+    st.one_of(st.just(1), st.integers(2, 10**6)),
+    st.one_of(st.just(0), st.integers(-30, 30), huge),
+    st.one_of(st.integers(1, 60), st.integers(1, 10**40)),
+)
+kernel_operands = st.builds(
+    Polynomial,
+    st.lists(st.one_of(st.just(0), st.integers(-30, 30), huge), max_size=8),
+    st.one_of(st.integers(1, 60), st.integers(1, 10**40)),
 )
 # divisors: any lower coefficients under a nonzero lead, often a negative,
 # non-unit or fractional one; a lone lead is a constant divisor
@@ -302,6 +315,17 @@ class TestCombination:
                 for i, x in enumerate(xs):
                     expected[i] += c * F(x, d)
         assert result.coeffs == stripped(expected)
+        assert_canonical(result)
+
+    @given(st.lists(st.tuples(kernel_pairs, kernel_operands), max_size=6))
+    @example([])
+    @example([((6, 4), Polynomial((1, 2), 3))])  # 6/4 enters as 3/2
+    @example([((2, 4), X), ((-3, 6), X), ((0, 5), X), ((7, 1), Polynomial())])  # cancels to zero
+    @example([((-(10**80), 10**40), Polynomial((10**80, 0, -(10**80)), 3))])
+    @settings(max_examples=80, deadline=None)
+    def test_integer_kernel_matches_fraction_sum(self, terms):
+        result = _combine((a, b, p) for (a, b), p in terms)
+        assert result.coeffs == reference_combination([(F(a, b), p) for (a, b), p in terms])
         assert_canonical(result)
 
     @given(terms_lists)
