@@ -113,12 +113,6 @@ class Polynomial(Record):
         """Degree, or -1 for the zero polynomial."""
         return len(self.numerators) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of x**k; zero beyond the stored degree."""
-        if k < 0:
-            raise ValueError("coefficient index must be >= 0")
-        return Fraction(self.numerators[k] if k < len(self.numerators) else 0, self.denominator)
-
     # -- ring operations ----------------------------------------------------
 
     @staticmethod
@@ -135,16 +129,6 @@ class Polynomial(Record):
         return Polynomial.combination(((1, self), (1, other)))
 
     __radd__ = __add__
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial.combination(((-1, self),))
-
-    def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial.combination(((1, self), (-1, other)))
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -191,6 +175,8 @@ class Polynomial(Record):
 
     def compose(self, inner: Polynomial) -> Polynomial:
         """The polynomial self(inner(x)), by Horner over the polynomial ring."""
+        if not isinstance(inner, Polynomial):
+            raise TypeError(f"can only compose with a Polynomial, not {type(inner).__name__}")
         return Polynomial(*_horner(self, inner.numerators, inner.denominator))
 
 

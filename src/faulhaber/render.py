@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .polynomial import Polynomial
 from .shifted import ShiftedForm
-from .triangular import FaulhaberForm, Multiplier
+from .triangular import BY_PARITY, FaulhaberForm
 
 
 def rational_text(value: int | Fraction, fraction: str = "%s/%s") -> str:
@@ -46,11 +46,6 @@ _FORMATS = {
 
 #: the triangular variable u = S1 in each text format
 _S1 = {"plain": "S1", "latex": "S_{1}"}
-
-_LATEX_MULTIPLIER = {
-    Multiplier.SUM_OF_SQUARES: r"\cdot\sum k^{2}",
-    Multiplier.SQUARE_OF_SUM: r"\cdot\left(\sum k\right)^{2}",
-}
 
 
 def _terms(coeffs: Sequence[Fraction | int], variable: str, fmt: str) -> str:
@@ -102,7 +97,7 @@ def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
     inner = _terms(form.coefficients[::-1], _S1[fmt], fmt)
     if fmt == "plain":
         return f"({inner}) * {form.multiplier.value}"
-    return rf"\left[{inner}\right]" + _LATEX_MULTIPLIER[form.multiplier]
+    return rf"\left[{inner}\right]" + BY_PARITY[form.power % 2][2]
 
 
 def render_shifted(form: ShiftedForm, fmt: str) -> str:

@@ -20,6 +20,7 @@ from .reports import CheckLine, Record, VerificationReport
 from .triangular import (
     ConsistencyError,
     FaulhaberForm,
+    _set_form,
     expand_to_monomial,
     faulhaber_form,
 )
@@ -48,14 +49,7 @@ class ShiftedForm(Record):
     __slots__ = ("power", "coefficients")
 
     def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
-        count = power // 2 + 1 + power % 2
-        if len(coefficients) != count:
-            raise ValueError(
-                f"a shifted form for power {power} has {count} coefficients,"
-                f" not {len(coefficients)}"
-            )
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "coefficients", coefficients)
+        _set_form(self, "shifted", power // 2 + 1 + power % 2, power, coefficients)
 
     parity = FaulhaberForm.parity  # "even" or "odd", from the power, as for a triangular form
 

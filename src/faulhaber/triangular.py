@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 
 from .bernoulli import bernoulli_number
-from .polynomial import Polynomial, X, _combine
+from .polynomial import Polynomial, X, _combine, _exact
 from .powersum import powersum_monomial
 from .reports import CheckLine, Record, VerificationReport
 
@@ -52,11 +52,22 @@ SUM_OF_SQUARES_OF_N = Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1,
 #: (sum k)^2, the odd-exponent multiplier.
 SQUARE_OF_SUM_OF_N = U_OF_N * U_OF_N
 
-#: power % 2 -> (parity, multiplier, the multiplier as a polynomial in n)
+#: power % 2 -> (parity, multiplier, its LaTeX text, the multiplier as a polynomial in n)
 BY_PARITY = (
-    ("even", Multiplier.SUM_OF_SQUARES, SUM_OF_SQUARES_OF_N),
-    ("odd", Multiplier.SQUARE_OF_SUM, SQUARE_OF_SUM_OF_N),
+    ("even", Multiplier.SUM_OF_SQUARES, r"\cdot\sum k^{2}", SUM_OF_SQUARES_OF_N),
+    ("odd", Multiplier.SQUARE_OF_SUM, r"\cdot\left(\sum k\right)^{2}", SQUARE_OF_SUM_OF_N),
 )
+
+
+def _set_form(form: Record, kind: str, count: int, power: int, coefficients) -> None:
+    """Set a form's fields: `power`, and `count` exact coefficients as a tuple."""
+    coefficients = tuple(_exact(c, "coefficients must be exact rationals") for c in coefficients)
+    if len(coefficients) != count:
+        raise ValueError(
+            f"a {kind} form for power {power} has {count} coefficients, not {len(coefficients)}"
+        )
+    object.__setattr__(form, "power", power)
+    object.__setattr__(form, "coefficients", coefficients)
 
 
 class FaulhaberForm(Record):
@@ -70,13 +81,7 @@ class FaulhaberForm(Record):
     __slots__ = ("power", "coefficients")
 
     def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
-        if len(coefficients) != power // 2:
-            raise ValueError(
-                f"a triangular form for power {power} has {power // 2} coefficients,"
-                f" not {len(coefficients)}"
-            )
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "coefficients", coefficients)
+        _set_form(self, "triangular", power // 2, power, coefficients)
 
     @property
     def parity(self) -> str:
@@ -136,7 +141,7 @@ def faulhaber_form(power: int) -> FaulhaberForm:
     """Direct route: exact division by the multiplier, then rewrite in u."""
     if power < 2:
         raise ValueError("triangular forms require power >= 2")
-    _, multiplier, divisor = BY_PARITY[power % 2]
+    _, multiplier, _, divisor = BY_PARITY[power % 2]
     quotient, remainder = divmod(powersum_monomial(power), divisor)
     if not remainder.is_zero:
         raise ConsistencyError(
@@ -201,7 +206,7 @@ def faulhaber_form_inductive(power: int) -> FaulhaberForm:
 
 def expand_to_monomial(form: FaulhaberForm) -> Polynomial:
     """Multiply the form back out into a plain polynomial in n."""
-    return form.u_polynomial().compose(U_OF_N) * BY_PARITY[form.power % 2][2]
+    return form.u_polynomial().compose(U_OF_N) * BY_PARITY[form.power % 2][3]
 
 
 def square_in_triangular(power: int) -> Polynomial:

@@ -1,5 +1,6 @@
-"""Bernoulli numbers and polynomials, cross-checked against an independent
-Akiyama-Tanigawa oracle that shares nothing with the recurrence in the package."""
+"""Bernoulli numbers and polynomials, cross-checked against independent
+Akiyama-Tanigawa and tangent-number oracles that share nothing with the
+recurrence in the package."""
 
 from __future__ import annotations
 
@@ -48,6 +49,17 @@ def fraction_recurrence(n: int) -> list[Fraction]:
     return out
 
 
+def tangent_numbers(n: int) -> list[int]:
+    """T_1..T_n by Brent and Harvey's in-place integer algorithm (arXiv:1108.0286)."""
+    t = [0, 1] + [0] * (n - 1)  # t[k] = T_k
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
 RECURRENCE = fraction_recurrence(150)
 ONE_SHOT = BernoulliCache()
 ONE_SHOT.get(300)
@@ -71,6 +83,14 @@ class TestNumbers:
 
     def test_matches_independent_oracle(self):
         assert [bernoulli_number(m) for m in range(61)] == ORACLE
+
+    def test_tangent_numbers_pin_every_even_value_to_600(self):
+        # B_2n = (-1)**(n-1) * 2n * T_n / (4**n * (4**n - 1)); the oracle assumes
+        # the odd values vanish, so it pins only the even ones
+        assert tangent_numbers(4) == [1, 2, 16, 272]
+        for n, t in enumerate(tangent_numbers(300), 1):
+            expected = F((-1) ** (n - 1) * 2 * n * t, 4**n * (4**n - 1))
+            assert bernoulli_number(2 * n) == expected, 2 * n
 
     def test_defining_recurrence_residue_vanishes(self):
         # sum(C(n+1, k) B_k, k = 0..n) == 0 for n >= 1

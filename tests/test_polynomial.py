@@ -181,13 +181,14 @@ class TestCanonicalForm:
 
     @given(polys, polys)
     def test_operations_never_leak_trailing_zeros(self, p, q):
-        for result in (p + q, p - q, p * q, p.compose(q)):
+        difference = Polynomial.combination([(1, p), (-1, q)])
+        for result in (p + q, difference, p * q, p.compose(q)):
             assert not result.coeffs or result.coeffs[-1] != 0
 
     @given(polys, polys)
     def test_coefficients_stay_reduced_with_positive_denominator(self, p, q):
         # the scalar contract: every coefficient read back is canonical
-        for c in (p * q + p - q).coeffs:
+        for c in Polynomial.combination([(1, p * q), (1, p), (-1, q)]).coeffs:
             assert c.denominator > 0
             assert math.gcd(c.numerator, c.denominator) == 1
 
@@ -233,7 +234,7 @@ class TestArithmetic:
 
     def test_cancellation_renormalizes(self):
         p = Polynomial((1, 1))
-        assert (p - p).is_zero
+        assert Polynomial.combination([(1, p), (-1, p)]).is_zero
 
     def test_scalar_multiplication(self):
         assert Polynomial((2, 4)) * F(1, 2) == Polynomial((1, 2))
@@ -352,8 +353,6 @@ class TestCombination:
     def test_linear_operators_match_fraction_sum(self, p, q, c):
         for result, terms in (
             (p + q, [(1, p), (1, q)]),
-            (p - q, [(1, p), (-1, q)]),
-            (-p, [(-1, p)]),
             (c * p, [(c, p)]),
             (p * c, [(c, p)]),
         ):
@@ -370,7 +369,7 @@ class TestEvaluation:
         assert Polynomial()(7) == 0
 
     def test_result_is_exact_rational(self):
-        value = (X - F(1, 2))(F(1, 2))
+        value = (X + F(-1, 2))(F(1, 2))
         assert value == 0 and isinstance(value, Fraction)
 
     def test_float_argument_rejected(self):
@@ -416,6 +415,11 @@ class TestComposition:
 
     def test_constant_outer(self):
         assert Polynomial((7,)).compose(X + 1) == Polynomial((7,))
+
+    @pytest.mark.parametrize("inner", [3, F(1, 2), 0.5])
+    def test_inner_must_be_a_polynomial(self, inner):
+        with pytest.raises(TypeError, match="can only compose with a Polynomial, not"):
+            Polynomial((0, 1, 1)).compose(inner)
 
     @given(small_polys, small_polys, rationals)
     @settings(max_examples=60)

@@ -34,7 +34,7 @@ class TestMonomialPolynomials:
 
     def test_no_constant_term(self):
         for m in range(1, 40):
-            assert powersum_monomial(m).coefficient(0) == 0
+            assert powersum_monomial(m).coeffs[0] == 0
 
     def test_degree_and_leading_coefficient(self):
         for m in range(1, 25):
@@ -45,7 +45,7 @@ class TestMonomialPolynomials:
     def test_linear_coefficient_vanishes_for_odd_exponents(self):
         # exponents 3, 5, 7, ... have no n^1 term
         for m in range(3, 41, 2):
-            assert powersum_monomial(m).coefficient(1) == 0
+            assert powersum_monomial(m).coeffs[1] == 0
 
     def test_exponent_zero_is_n_and_negative_rejected(self):
         assert powersum_monomial(0) == Polynomial((0, 1))

@@ -126,6 +126,19 @@ def test_parity_and_multiplier_follow_from_the_power(cls, counts):
         cls(4, "even", even.coefficients)
 
 
+@pytest.mark.parametrize("cls, power, coefficients", [
+    (FaulhaberForm, 4, (1.2, -0.2)),
+    (FaulhaberForm, 5, (F(4, 3), True)),
+    (ShiftedForm, 2, (0.5, "x")),
+    (ShiftedForm, 1, (F(1, 2), None)),
+])
+def test_a_form_takes_only_exact_coefficients(cls, power, coefficients):
+    with pytest.raises(TypeError, match="coefficients must be exact rationals, not"):
+        cls(power, coefficients)
+    exact = tuple(F(1, k) for k in range(1, len(coefficients) + 1))
+    assert cls(power, list(exact)).coefficients == exact  # stored as a tuple
+
+
 def test_a_polynomial_has_no_parity_or_multiplier():
     assert not hasattr(Polynomial((1,)), "parity")
     assert not hasattr(Polynomial((1,)), "multiplier")

@@ -92,8 +92,8 @@ class TestStructure:
             assert shifted_form(power).shift_polynomial().degree == power + 1
 
     def test_constant_term_exists_only_for_odd_powers(self):
-        assert shifted_form(4).shift_polynomial().coefficient(0) == 0
-        assert shifted_form(5).shift_polynomial().coefficient(0) != 0
+        assert shifted_form(4).shift_polynomial().coeffs[0] == 0
+        assert shifted_form(5).shift_polynomial().coeffs[0] != 0
 
     def test_stray_term_rejected(self, monkeypatch):
         wrong = shifted.SUM_OF_SQUARES_SHIFTED + X * X
