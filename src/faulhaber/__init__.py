@@ -1,8 +1,8 @@
 """Exact power-sum polynomials in three bases, with Bernoulli machinery.
 
 The same sum 1**m + ... + n**m is computed as a polynomial in n, as a
-coefficient list over the triangular numbers u = n(n+1)/2 times a fixed
-multiplier, and as a single-parity polynomial in N = n + 1/2. Every
+polynomial in the triangular number u = n(n+1)/2 times a fixed multiplier,
+and as a single-parity polynomial in N = n + 1/2. Every
 construction has an independent second route and the package can verify
 all the identities tying them together; nothing anywhere uses floats.
 """

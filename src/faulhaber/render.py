@@ -94,7 +94,7 @@ def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
                      "paper-descending")
     if form is None:
         return _S1[fmt]
-    inner = _terms(form.coefficients[::-1], _S1[fmt], fmt)
+    inner = _terms(form.polynomial.coeffs, _S1[fmt], fmt)
     if fmt == "plain":
         return f"({inner}) * {form.multiplier.value}"
     return rf"\left[{inner}\right]" + BY_PARITY[form.power % 2][2]
@@ -103,7 +103,7 @@ def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
 def render_shifted(form: ShiftedForm, fmt: str) -> str:
     if fmt == "json":
         return _json(form.power, "shifted", None, form.coefficients, "paper-descending")
-    coeffs = form.slots()
+    coeffs = form.polynomial.coeffs
     even = form.parity == "even"
     if even:
         # an even power gives an odd polynomial in N: its N^0 slot is zero, and

@@ -18,8 +18,8 @@ from .polynomial import Polynomial, X
 from .powersum import powersum_monomial
 from .reports import CheckLine, Record, VerificationReport
 from .triangular import (
-    ConsistencyError,
     FaulhaberForm,
+    _build_form,
     _set_form,
     expand_to_monomial,
     faulhaber_form,
@@ -38,47 +38,26 @@ SQUARE_OF_SUM_SHIFTED = U_OF_SHIFT * U_OF_SHIFT
 class ShiftedForm(Record):
     """One power sum as a single-parity polynomial in N = n + 1/2.
 
-    Even power 2m: coefficients d_0..d_m multiplying N^(2m+1), N^(2m-1), ...,
-    N (m+1 entries, one more than the triangular list because the multiplier
-    contributes a coefficient of its own after substitution).
-    Odd power 2m+1: coefficients e_0..e_(m+1) multiplying N^(2m+2), N^(2m),
-    ..., N^2, 1; the trailing entry is the constant term, which exists only
-    in this parity.
+    `polynomial` is the sum in N, of degree power + 1, with only exponents of
+    that parity. `coefficients` reads it in the paper's order: for an even
+    power 2m, d_0..d_m multiplying N^(2m+1), N^(2m-1), ..., N (one more
+    entry than the triangular list, because the multiplier contributes a
+    coefficient of its own after substitution); for an odd power 2m+1,
+    e_0..e_(m+1) multiplying N^(2m+2), N^(2m), ..., N^2, 1, where the
+    trailing constant term exists only in this parity.
     """
 
-    __slots__ = ("power", "coefficients")
+    __slots__ = ("power", "polynomial")
 
-    def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
-        _set_form(self, "shifted", power // 2 + 1 + power % 2, power, coefficients)
+    def __init__(self, power: int, polynomial: Polynomial) -> None:
+        _set_form(self, "shifted", power, polynomial)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients of the present powers of N, highest first, built afresh on each read."""
+        return self.polynomial.coeffs[::-2]
 
     parity = FaulhaberForm.parity  # "even" or "odd", from the power, as for a triangular form
-
-    def slots(self) -> list[Fraction | int]:
-        """The coefficients laid low-to-high by power of N, 0 in the other parity's slots."""
-        coeffs: list[Fraction | int] = [0] * (self.power + 2)
-        coeffs[::-2] = self.coefficients  # N^(power+1), N^(power-1), ...
-        return coeffs
-
-    def shift_polynomial(self) -> Polynomial:
-        """The form as a low-to-high polynomial in N."""
-        return Polynomial(self.slots())
-
-
-def _extract(power: int, shift_poly: Polynomial) -> ShiftedForm:
-    """Pull the highest-power-first coefficient list off an N-polynomial."""
-    top = power + 1
-    if shift_poly.degree != top:
-        raise ConsistencyError(
-            f"shifted form for power {power} has degree {shift_poly.degree}, expected {top}"
-        )
-    # exactly one parity of exponent may be present
-    for k in range(top - 1, -1, -2):
-        if shift_poly.numerators[k]:
-            raise ConsistencyError(
-                f"shifted form for power {power} has a stray N^{k} term"
-            )
-    # entries for N^top, N^(top-2), ..., down to N^1 (even power) or N^0 (odd power)
-    return ShiftedForm(power, shift_poly.coeffs[::-2])
 
 
 def shifted_form(power: int) -> ShiftedForm:
@@ -86,14 +65,14 @@ def shifted_form(power: int) -> ShiftedForm:
     if power < 1:
         raise ValueError("shifted forms require power >= 1")
     if power == 1:
-        return _extract(1, U_OF_SHIFT)
+        return _build_form(ShiftedForm, 1, U_OF_SHIFT)
     return _from_triangular(faulhaber_form(power))
 
 
 def _from_triangular(form: FaulhaberForm) -> ShiftedForm:
     """Substitute u = N^2/2 - 1/8 into a triangular form and its multiplier."""
     multiplier = (SUM_OF_SQUARES_SHIFTED, SQUARE_OF_SUM_SHIFTED)[form.power % 2]
-    return _extract(form.power, form.u_polynomial().compose(U_OF_SHIFT) * multiplier)
+    return _build_form(ShiftedForm, form.power, form.polynomial.compose(U_OF_SHIFT) * multiplier)
 
 
 def shifted_closed_form(power: int) -> ShiftedForm:
@@ -114,12 +93,14 @@ def shifted_closed_form(power: int) -> ShiftedForm:
     ]
     if power % 2:
         c.append(-sum(c[i] / Fraction(4) ** (m - i + 1) for i in range(m + 1)))
-    return ShiftedForm(power, tuple(c))
+    slots: list[Fraction | int] = [0] * (power + 2)
+    slots[::-2] = c  # N^(power+1), N^(power-1), ...
+    return _build_form(ShiftedForm, power, Polynomial(slots))
 
 
 def shifted_to_monomial(form: ShiftedForm) -> Polynomial:
     """Substitute N = n + 1/2 to recover the plain monomial power sum."""
-    return form.shift_polynomial().compose(X + Fraction(1, 2))
+    return form.polynomial.compose(X + Fraction(1, 2))
 
 
 def verify_roundtrip(max_power: int) -> VerificationReport:

@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import comb
 
 from .bernoulli import bernoulli_number
-from .polynomial import Polynomial, X, _combine, _exact
+from .polynomial import Polynomial, X, _combine
 from .powersum import powersum_monomial
 from .reports import CheckLine, Record, VerificationReport
 
@@ -59,29 +59,56 @@ BY_PARITY = (
 )
 
 
-def _set_form(form: Record, kind: str, count: int, power: int, coefficients) -> None:
-    """Set a form's fields: `power`, and `count` exact coefficients as a tuple."""
-    coefficients = tuple(_exact(c, "coefficients must be exact rationals") for c in coefficients)
-    if len(coefficients) != count:
+def _set_form(form: Record, kind: str, power: int, polynomial: Polynomial) -> None:
+    """Set a form's fields once its shape is checked; a wrong shape raises ValueError.
+
+    A triangular form's power is at least 2 and its polynomial in u has degree
+    power // 2 - 1. A shifted form's power is at least 1 and its polynomial in
+    N has degree power + 1, with no exponent of the other parity.
+    """
+    least = 1 if kind == "shifted" else 2
+    if type(power) is not int or power < least:
+        raise ValueError(f"{kind} forms require an int power >= {least}")
+    if not isinstance(polynomial, Polynomial):
+        raise TypeError(f"a {kind} form holds a Polynomial, not {type(polynomial).__name__}")
+    degree = power + 1 if kind == "shifted" else power // 2 - 1
+    if polynomial.degree != degree:
         raise ValueError(
-            f"a {kind} form for power {power} has {count} coefficients, not {len(coefficients)}"
+            f"{kind} form for power {power} has degree {polynomial.degree}, expected {degree}"
         )
+    if kind == "shifted":
+        for k in range(power, -1, -2):
+            if polynomial.numerators[k]:
+                raise ValueError(f"shifted form for power {power} has a stray N^{k} term")
     object.__setattr__(form, "power", power)
-    object.__setattr__(form, "coefficients", coefficients)
+    object.__setattr__(form, "polynomial", polynomial)
+
+
+def _build_form(cls: type, power: int, polynomial: Polynomial) -> Record:
+    """cls(power, polynomial) for a route: a wrong shape is the route's fault, a ConsistencyError."""
+    try:
+        return cls(power, polynomial)
+    except ValueError as exc:
+        raise ConsistencyError(str(exc)) from exc
 
 
 class FaulhaberForm(Record):
-    """One power sum written as coefficients-in-u times a fixed multiplier.
+    """One power sum written as a polynomial in u times a fixed multiplier.
 
-    `coefficients` is ordered highest u-power first: entry i multiplies
-    u**(count-1-i), where count = len(coefficients) = power // 2. The last
-    entry is the constant term. The power's parity decides the multiplier.
+    `polynomial` is the factor in u, of degree power // 2 - 1; the power's
+    parity decides the multiplier. `coefficients` reads it in the paper's
+    order, highest u-power first, so the last entry is the constant term.
     """
 
-    __slots__ = ("power", "coefficients")
+    __slots__ = ("power", "polynomial")
 
-    def __init__(self, power: int, coefficients: tuple[Fraction, ...]) -> None:
-        _set_form(self, "triangular", power // 2, power, coefficients)
+    def __init__(self, power: int, polynomial: Polynomial) -> None:
+        _set_form(self, "triangular", power, polynomial)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients in u, highest power first, built afresh on each read."""
+        return self.polynomial.coeffs[::-1]
 
     @property
     def parity(self) -> str:
@@ -92,19 +119,6 @@ class FaulhaberForm(Record):
     def multiplier(self) -> Multiplier:
         """Sum(k^2) for an even power, Sum(k)^2 for an odd one."""
         return BY_PARITY[self.power % 2][1]
-
-    def u_polynomial(self) -> Polynomial:
-        """The coefficient list as a low-to-high polynomial in u."""
-        return Polynomial(tuple(reversed(self.coefficients)))
-
-
-def _wrap_form(power: int, u_poly: Polynomial) -> FaulhaberForm:
-    m = power // 2
-    if u_poly.degree != m - 1:
-        raise ConsistencyError(
-            f"triangular form for power {power} has u-degree {u_poly.degree}, expected {m - 1}"
-        )
-    return FaulhaberForm(power, u_poly.coeffs[::-1])
 
 
 def triangular_decompose(p: Polynomial) -> Polynomial:
@@ -147,14 +161,15 @@ def faulhaber_form(power: int) -> FaulhaberForm:
         raise ConsistencyError(
             f"power sum for exponent {power} is not divisible by {multiplier.value}"
         )
-    return _wrap_form(power, triangular_decompose(quotient))
+    return _build_form(FaulhaberForm, power, triangular_decompose(quotient))
 
 
-def _inductive_u_polynomial(power: int) -> Polynomial:
-    """Independent route: build every form from 2 up to `power` by induction.
+def _inductive_table(m: int) -> list[Polynomial | None]:
+    """None, None, then the polynomials in u of the forms for powers 2..m.
 
+    Independent route: every form is built from lower ones by induction.
     Base forms: power 2 and power 3 both have u-polynomial 1. The step to an
-    even power p = 2m+2 rewrites the inner sums of k**(p-1) through the
+    even power p rewrites the inner sums of k**(p-1) through the
     monomial coefficients C(p, 2j)/p * B_2j (all odd Bernoulli terms beyond
     B_1 vanish), then turns (n + 1/2)(sum k)^2 into (3/2) u sum(k^2) via the
     first bridge identity. The step to an odd power additionally produces a
@@ -165,9 +180,9 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
     scalar is a pair of integers (numerator, denominator).
     """
     # B_k as (numerator, denominator), read once; only even k >= 2 enter
-    bernoulli = {k: bernoulli_number(k).as_integer_ratio() for k in range(2, power, 2)}
-    forms = {2: Polynomial((1,)), 3: Polynomial((1,))}
-    for p in range(4, power + 1):
+    bernoulli = {k: bernoulli_number(k).as_integer_ratio() for k in range(2, m, 2)}
+    forms: list[Polynomial | None] = [None, None, Polynomial((1,)), Polynomial((1,))]
+    for p in range(4, m + 1):
         # forms[p - 2j] has the parity of p, and so the multiplier of forms[p]
         lower = []
         for j in range(1, p // 2):
@@ -193,20 +208,20 @@ def _inductive_u_polynomial(power: int) -> Polynomial:
                 (p, 6 * (p + 1), Polynomial(f.numerators[1:], f.denominator)),
             ]
         # forms[p] = p/(p+1) * (lifted - sum(b_j * forms[p - 2j])), b_j = C(p, 2j)/p * B_2j
-        forms[p] = _combine(lifted + lower)
-    return forms[power]
+        forms.append(_combine(lifted + lower))
+    return forms
 
 
 def faulhaber_form_inductive(power: int) -> FaulhaberForm:
     """Inductive route; must agree exactly with faulhaber_form."""
     if power < 2:
         raise ValueError("triangular forms require power >= 2")
-    return _wrap_form(power, _inductive_u_polynomial(power))
+    return _build_form(FaulhaberForm, power, _inductive_table(power)[power])
 
 
 def expand_to_monomial(form: FaulhaberForm) -> Polynomial:
     """Multiply the form back out into a plain polynomial in n."""
-    return form.u_polynomial().compose(U_OF_N) * BY_PARITY[form.power % 2][3]
+    return form.polynomial.compose(U_OF_N) * BY_PARITY[form.power % 2][3]
 
 
 def square_in_triangular(power: int) -> Polynomial:
@@ -270,7 +285,7 @@ def verify_constant_term_bernoulli(max_m: int) -> VerificationReport:
         raise ValueError("max_m must be >= 2")
     lines = []
     for m in range(2, max_m + 1):
-        form = faulhaber_form(2 * m)
-        ok = form.coefficients[-1] / 6 == bernoulli_number(2 * m)
+        poly = faulhaber_form(2 * m).polynomial
+        ok = Fraction(poly.numerators[0], 6 * poly.denominator) == bernoulli_number(2 * m)
         lines.append(CheckLine(f"constant term of power {2 * m} form = 6*B_{2 * m}", ok))
     return VerificationReport(name="constant-term", lines=tuple(lines))

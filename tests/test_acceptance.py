@@ -16,9 +16,10 @@ from faulhaber.powersum import oracle_sum, powersum_monomial
 from faulhaber.recurrence import verify_recurrence_consistency
 from faulhaber.shifted import shifted_closed_form, shifted_form, shifted_to_monomial
 from faulhaber.triangular import (
+    FaulhaberForm,
+    _inductive_table,
     expand_to_monomial,
     faulhaber_form,
-    faulhaber_form_inductive,
     verify_constant_term_bernoulli,
     verify_lemma,
 )
@@ -111,8 +112,9 @@ def test_criterion_05_roundtrips():
 def test_criterion_06_inductive_agrees_with_direct():
     with _Timer() as t:
         # any stray linear-sum residue inside the induction raises, failing here
+        table = _inductive_table(40)
         for power in range(2, 41):
-            assert faulhaber_form_inductive(power) == faulhaber_form(power), power
+            assert FaulhaberForm(power, table[power]) == faulhaber_form(power), power
     _report("A-06", "inductive route = direct route for 2<=power<=40", t.elapsed, 60.0)
 
 

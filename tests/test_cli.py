@@ -291,7 +291,7 @@ class TestNumbersOfAnyLength:
         ),
         *(
             pytest.param(("powersum", "4", "--basis", "triangular", "--format", fmt), "faulhaber_form",
-                         lambda m: FaulhaberForm(4, (F(BIG, 5), F(-1, 5))),
+                         lambda m: FaulhaberForm(4, Polynomial((F(-1, 5), F(BIG, 5)))),
                          0, text, id=f"triangular-{fmt}")
             for fmt, text in [
                 ("plain", "(@/5*S1 - 1/5) * Sum(k^2)\n"),
@@ -302,7 +302,7 @@ class TestNumbersOfAnyLength:
         ),
         *(
             pytest.param(("powersum", "2", "--basis", "shifted", "--format", fmt), "shifted_form",
-                         lambda m: ShiftedForm(2, (F(1, 3), F(-BIG, 12))), 0, text,
+                         lambda m: ShiftedForm(2, Polynomial((0, F(-BIG, 12), 0, F(1, 3)))), 0, text,
                          id=f"shifted-{fmt}")
             for fmt, text in [
                 ("plain", "N*(1/3*N^2 - @/12)  where N = n + 1/2\n"),

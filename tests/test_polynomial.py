@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from faulhaber.polynomial import Polynomial, X, _combine
 from faulhaber.powersum import powersum_monomial
 from faulhaber.recurrence import he_ricci_polynomial, partial_sum_polynomial
-from faulhaber.triangular import SQUARE_OF_SUM_OF_N, _inductive_u_polynomial
+from faulhaber.triangular import SQUARE_OF_SUM_OF_N, _inductive_table
 
 F = Fraction
 
@@ -217,7 +217,7 @@ class TestCanonicalForm:
             remainder,
             from_ints.compose(q),
             q.compose(from_ints),
-            _inductive_u_polynomial(m),
+            *_inductive_table(m)[2:],
             he_ricci_polynomial(m),
             partial_sum_polynomial(m),
         ):

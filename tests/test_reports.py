@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from faulhaber.polynomial import Polynomial
+from faulhaber.polynomial import Polynomial, X
 from faulhaber.reports import CheckLine, VerificationReport
 from faulhaber.shifted import ShiftedForm
 from faulhaber.triangular import FaulhaberForm, Multiplier
@@ -25,13 +25,13 @@ RECORDS = [
     ),
     (
         FaulhaberForm,
-        dict(power=2, coefficients=(F(1),)),
-        "FaulhaberForm(power=2, coefficients=(Fraction(1, 1),))",
+        dict(power=2, polynomial=Polynomial((1,))),
+        "FaulhaberForm(power=2, polynomial=Polynomial(numerators=(1,), denominator=1))",
     ),
     (
         ShiftedForm,
-        dict(power=1, coefficients=(F(1, 2), F(-1, 8))),
-        "ShiftedForm(power=1, coefficients=(Fraction(1, 2), Fraction(-1, 8)))",
+        dict(power=1, polynomial=Polynomial((F(-1, 8), 0, F(1, 2)))),
+        "ShiftedForm(power=1, polynomial=Polynomial(numerators=(-1, 0, 4), denominator=8))",
     ),
     (
         Polynomial,
@@ -39,6 +39,14 @@ RECORDS = [
         "Polynomial(numerators=(4, -1), denominator=8)",
     ),
 ]
+#: per class, one field set to another value that it accepts
+CHANGED = {
+    CheckLine: dict(passed=False),
+    VerificationReport: dict(lines=()),
+    FaulhaberForm: dict(power=3),  # the u-polynomial 1 serves power 3 as well
+    ShiftedForm: dict(polynomial=Polynomial((F(-1, 8), 0, F(1, 4)))),
+    Polynomial: dict(denominator=9),
+}
 #: every record class by name, and Fraction: what a repr needs to be evaluated
 NAMES = {cls.__name__: cls for cls, _, _ in RECORDS} | {"Fraction": Fraction}
 #: more digits than str(int) writes at the interpreter's default limit (4300)
@@ -67,10 +75,7 @@ def test_never_equal_to_a_tuple_of_its_fields(record):
 
 def test_unequal_when_a_field_differs(record):
     cls, fields, _ = record
-    first, value = next(iter(fields.items()))
-    # both forms keep their coefficient count from power 2 to 3 and from 1 to 2
-    other = value + 1 if first == "power" else ()
-    assert cls(**fields) != cls(**{**fields, first: other})
+    assert cls(**fields) != cls(**{**fields, **CHANGED[cls]})
 
 
 def test_field_assignment_raises(record):
@@ -94,8 +99,8 @@ def test_repr_names_the_class_and_its_fields(record):
 @pytest.mark.parametrize("value", [
     *(pytest.param(cls(**fields), id=cls.__name__) for cls, fields, _ in RECORDS),
     pytest.param(Polynomial((F(BIG, 3), -1)), id="big-Polynomial"),
-    pytest.param(FaulhaberForm(4, (F(BIG, 5), F(-1, 5))), id="big-FaulhaberForm"),
-    pytest.param(ShiftedForm(2, (F(1, 3), F(-BIG, 12))), id="big-ShiftedForm"),
+    pytest.param(FaulhaberForm(4, Polynomial((F(-1, 5), F(BIG, 5)))), id="big-FaulhaberForm"),
+    pytest.param(ShiftedForm(2, Polynomial((0, F(-BIG, 12), 0, F(1, 3)))), id="big-ShiftedForm"),
 ])
 def test_repr_at_any_length_rebuilds_an_equal_value(value):
     text = repr(value)
@@ -109,10 +114,13 @@ def test_repr_at_any_length_rebuilds_an_equal_value(value):
     assert rebuilt == value
 
 
-@pytest.mark.parametrize("cls, counts", [(FaulhaberForm, (2, 2)), (ShiftedForm, (3, 4))])
-def test_parity_and_multiplier_follow_from_the_power(cls, counts):
-    # counts: how many coefficients a form has at powers 4 and 5
-    even, odd = (cls(power, (F(1),) * count) for power, count in zip((4, 5), counts))
+@pytest.mark.parametrize("cls, polynomials", [
+    (FaulhaberForm, (X, X)),
+    (ShiftedForm, (Polynomial((0,) * 5 + (1,)), Polynomial((0,) * 6 + (1,)))),
+])
+def test_parity_and_multiplier_follow_from_the_power(cls, polynomials):
+    # polynomials: one form's polynomial at power 4 and one at power 5
+    even, odd = (cls(power, poly) for power, poly in zip((4, 5), polynomials))
     assert (even.parity, odd.parity) == ("even", "odd")
     if cls is FaulhaberForm:
         assert even.multiplier is Multiplier.SUM_OF_SQUARES
@@ -121,9 +129,9 @@ def test_parity_and_multiplier_follow_from_the_power(cls, counts):
         assert not hasattr(even, "multiplier")
     for extra in (dict(parity="even"), dict(multiplier=Multiplier.SUM_OF_SQUARES)):
         with pytest.raises(TypeError):
-            cls(4, even.coefficients, **extra)
+            cls(4, even.polynomial, **extra)
     with pytest.raises(TypeError):
-        cls(4, "even", even.coefficients)
+        cls(4, "even", even.polynomial)
 
 
 @pytest.mark.parametrize("cls, power, coefficients", [
@@ -132,11 +140,34 @@ def test_parity_and_multiplier_follow_from_the_power(cls, counts):
     (ShiftedForm, 2, (0.5, "x")),
     (ShiftedForm, 1, (F(1, 2), None)),
 ])
-def test_a_form_takes_only_exact_coefficients(cls, power, coefficients):
-    with pytest.raises(TypeError, match="coefficients must be exact rationals, not"):
+def test_a_form_takes_only_a_polynomial_of_exact_coefficients(cls, power, coefficients):
+    with pytest.raises(TypeError, match="form holds a Polynomial, not tuple"):
         cls(power, coefficients)
-    exact = tuple(F(1, k) for k in range(1, len(coefficients) + 1))
-    assert cls(power, list(exact)).coefficients == exact  # stored as a tuple
+    with pytest.raises(TypeError, match="coefficients must be exact rationals, not"):
+        cls(power, Polynomial(coefficients))
+
+
+@pytest.mark.parametrize("cls, power, polynomial", [
+    (FaulhaberForm, 0, Polynomial()),
+    (FaulhaberForm, 1, Polynomial()),  # its degree -1 is 1 // 2 - 1: only the power is wrong
+    (ShiftedForm, 0, Polynomial((0, 1))),
+    (FaulhaberForm, 4.0, Polynomial((F(-1, 5), F(6, 5)))),
+    (ShiftedForm, True, Polynomial((F(-1, 8), 0, F(1, 2)))),
+])
+def test_a_form_takes_only_an_int_power_in_its_range(cls, power, polynomial):
+    with pytest.raises(ValueError, match="forms require an int power >= "):
+        cls(power, polynomial)
+
+
+@pytest.mark.parametrize("form, coefficients", [
+    (FaulhaberForm(4, Polynomial((F(-1, 5), F(6, 5)))), (F(6, 5), F(-1, 5))),
+    (ShiftedForm(2, Polynomial((0, F(-1, 12), 0, F(1, 3)))), (F(1, 3), F(-1, 12))),
+    (ShiftedForm(1, Polynomial((F(-1, 8), 0, F(1, 2)))), (F(1, 2), F(-1, 8))),
+])
+def test_coefficients_read_the_polynomial_in_paper_order(form, coefficients):
+    assert form.coefficients == coefficients
+    with pytest.raises(AttributeError):
+        form.coefficients = coefficients
 
 
 def test_a_polynomial_has_no_parity_or_multiplier():

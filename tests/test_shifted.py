@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from faulhaber import shifted
-from faulhaber.polynomial import X
+from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import powersum_monomial
 from faulhaber.shifted import (
     ShiftedForm,
@@ -76,7 +76,7 @@ class TestClosedFormRoute:
 class TestStructure:
     def test_single_parity_of_exponents(self):
         for power in range(1, 31):
-            poly = shifted_form(power).shift_polynomial()
+            poly = shifted_form(power).polynomial
             want = 1 if power % 2 == 0 else 0  # even powers: odd exponents only
             for k, c in enumerate(poly.coeffs):
                 if c != 0:
@@ -85,15 +85,15 @@ class TestStructure:
     def test_vanishes_at_half(self):
         # N = 1/2 is n = 0, where the empty sum must be zero
         for power in range(1, 31):
-            assert shifted_form(power).shift_polynomial()(F(1, 2)) == 0
+            assert shifted_form(power).polynomial(F(1, 2)) == 0
 
     def test_top_degree_is_power_plus_one(self):
         for power in range(1, 21):
-            assert shifted_form(power).shift_polynomial().degree == power + 1
+            assert shifted_form(power).polynomial.degree == power + 1
 
     def test_constant_term_exists_only_for_odd_powers(self):
-        assert shifted_form(4).shift_polynomial().coeffs[0] == 0
-        assert shifted_form(5).shift_polynomial().coeffs[0] != 0
+        assert shifted_form(4).polynomial.coeffs[0] == 0
+        assert shifted_form(5).polynomial.coeffs[0] != 0
 
     def test_stray_term_rejected(self, monkeypatch):
         wrong = shifted.SUM_OF_SQUARES_SHIFTED + X * X
@@ -124,17 +124,17 @@ class TestBackToMonomial:
             assert shifted_to_monomial(shifted_closed_form(power)) == powersum_monomial(power)
 
     def test_handmade_form(self):
-        form = ShiftedForm(1, (F(1, 2), F(-1, 8)))
+        form = ShiftedForm(1, Polynomial((F(-1, 8), 0, F(1, 2))))
         assert shifted_to_monomial(form) == powersum_monomial(1)
 
-    @pytest.mark.parametrize("power, coefficients, count", [
-        (1, (F(1, 2), F(-1, 8), F(5)), 2),  # the extra entry would land on N^1
-        (2, (F(1, 3),), 2),
-        (3, (F(1, 4), F(-1, 8)), 3),
+    @pytest.mark.parametrize("power, polynomial, message", [
+        (1, Polynomial((F(-1, 8), 5, F(1, 2))), r"has a stray N\^1 term"),
+        (2, Polynomial((0, F(1, 3))), "has degree 1, expected 3"),
+        (3, Polynomial((F(1, 64), 0, F(-1, 8))), "has degree 2, expected 4"),
     ])
-    def test_coefficient_count_must_match_power(self, power, coefficients, count):
-        with pytest.raises(ValueError, match=f"power {power} has {count} coefficients"):
-            ShiftedForm(power, coefficients)
+    def test_degree_and_parity_must_match_power(self, power, polynomial, message):
+        with pytest.raises(ValueError, match=f"shifted form for power {power} {message}"):
+            ShiftedForm(power, polynomial)
 
     def test_roundtrip_suite_lists_triangular_then_shifted(self):
         report = verify_roundtrip(3)

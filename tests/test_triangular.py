@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faulhaber import powersum, triangular
+from faulhaber import cli, powersum, triangular
 from faulhaber.bernoulli import bernoulli_number
 from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import oracle_sum, powersum_monomial
@@ -22,6 +22,7 @@ from faulhaber.triangular import (
     FaulhaberForm,
     Multiplier,
     NotTriangular,
+    _inductive_table,
     expand_to_monomial,
     faulhaber_form,
     faulhaber_form_inductive,
@@ -147,9 +148,20 @@ class TestDirectForm:
         with pytest.raises(ValueError):
             faulhaber_form(1)
 
-    def test_u_polynomial_view_reverses_descending_order(self):
+    def test_coefficients_view_reverses_the_polynomial_in_u(self):
         form = faulhaber_form(4)
-        assert form.u_polynomial() == Polynomial((F(-1, 5), F(6, 5)))
+        assert form.polynomial == Polynomial((F(-1, 5), F(6, 5)))
+        assert form.coefficients == (F(6, 5), F(-1, 5))
+
+    def test_wrong_degree_is_a_one_line_consistency_error(self, monkeypatch, capsys):
+        # a decomposition one u-power short cannot be the power-6 form
+        monkeypatch.setattr(triangular, "triangular_decompose", lambda q: Polynomial((0, 1)))
+        with pytest.raises(ConsistencyError, match="has degree 1, expected 2"):
+            faulhaber_form(6)
+        assert cli.main(["powersum", "6", "--basis", "triangular"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: triangular form for power 6 has degree 1, expected 2\n"
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_nonzero_odd_bernoulli_breaks_divisibility(self, monkeypatch, k):
@@ -174,8 +186,9 @@ class TestInductiveForm:
         assert faulhaber_form_inductive(7).coefficients == (F(2), F(-4, 3), F(1, 3))
 
     def test_agrees_with_direct_route(self):
+        table = _inductive_table(101)
         for power in [*range(2, 65), 101]:
-            assert faulhaber_form_inductive(power) == faulhaber_form(power), power
+            assert FaulhaberForm(power, table[power]) == faulhaber_form(power), power
 
     def test_power_one_excluded(self):
         with pytest.raises(ValueError):
@@ -200,17 +213,18 @@ class TestExpansion:
             assert expand_to_monomial(faulhaber_form(power)) == powersum_monomial(power)
 
     def test_expansion_of_handmade_form(self):
-        form = FaulhaberForm(2, (F(1),))
+        form = FaulhaberForm(2, Polynomial((1,)))
         assert expand_to_monomial(form) == powersum_monomial(2)
 
-    @pytest.mark.parametrize("power, coefficients", [
-        (4, (F(1),)),  # one short: would expand to a false identity
-        (4, (F(6, 5), F(-1, 5), F(0))),
-        (3, ()),
+    @pytest.mark.parametrize("power, polynomial", [
+        (4, Polynomial((1,))),  # one u-power short: would expand to a false identity
+        (4, Polynomial((0, F(-1, 5), F(6, 5)))),
+        (3, Polynomial()),
     ])
-    def test_coefficient_count_must_match_power(self, power, coefficients):
-        with pytest.raises(ValueError, match=f"power {power} has {power // 2} coefficients"):
-            FaulhaberForm(power, coefficients)
+    def test_degree_must_match_power(self, power, polynomial):
+        expected = f"power {power} has degree {polynomial.degree}, expected {power // 2 - 1}"
+        with pytest.raises(ValueError, match=expected):
+            FaulhaberForm(power, polynomial)
 
 
 class TestSquareInTriangular:
