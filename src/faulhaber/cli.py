@@ -151,10 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(handler=_cmd_eval)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument(
-        "suite",
-        choices=[*SUITES, "all"],
-    )
+    v.add_argument("suite", choices=[*SUITES, "all"])
     v.add_argument("--max", type=_positive_int, default=20, help="range bound (default 20)")
     v.set_defaults(handler=_cmd_verify)
 

@@ -2,8 +2,8 @@
 
 Even exponents 2m come out as (polynomial in u) * sum(k^2); odd exponents
 2m+1 as (polynomial in u) * (sum k)^2. Two independent constructions are
-kept side by side: `faulhaber_form` divides the monomial power sum by its
-multiplier and rewrites the quotient in u, while `faulhaber_form_inductive`
+kept side by side: `faulhaber_form` splits the monomial power sum as
+A(u) + n * B(u) and reads the form off A, while `faulhaber_form_inductive`
 never divides, assembling each form from lower ones using only the
 telescoping identity, the two bridge identities checked by `verify_lemma`,
 and the vanishing of the odd Bernoulli numbers. Each route is the other's
@@ -30,9 +30,9 @@ class NotTriangular(ValueError):
 class ConsistencyError(RuntimeError):
     """An internal identity that must hold exactly failed to.
 
-    Raised when an exact division leaves a remainder or an inductive step
-    leaves a stray linear-sum term; either means the implementation (not the
-    input) is wrong, so computation aborts rather than rounding anything.
+    Raised when a power sum is not its multiplier times a polynomial in u,
+    or an inductive step leaves a stray linear-sum term; either means the
+    implementation (not the input) is wrong, so computation aborts.
     """
 
 
@@ -121,47 +121,49 @@ class FaulhaberForm(Record):
         return BY_PARITY[self.power % 2][1]
 
 
-def triangular_decompose(p: Polynomial) -> Polynomial:
-    """Rewrite p(n) as q(u) with u = n(n+1)/2, or raise NotTriangular.
+def _split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """The unique A, B with p(n) = A(u) + n * B(u), on p's integer numerators.
 
-    Strips leading terms: a degree-2d head with leading coefficient c forces
-    the u**d coefficient c * 2**d; subtracting that multiple of u**d must
-    again leave an even-degree (or zero) remainder, otherwise p was never a
-    polynomial in u. The strip runs on p's integer numerators over its
-    denominator L, in the monic w = n**2 + n = 2u: w**d is
-    sum(C(d, j) * n**(d+j)), and its multiple c/L is (c * 2**d / L) u**d.
+    Division j by the monic w = n**2 + n = 2u is c[i-1] -= c[i] from the top down
+    to i = 2j + 2, which leaves digit j, c[2j] + c[2j+1] * n, in place below the
+    quotient. So c ends as the digits, and digit j enters A and B times 2**j.
     """
-    if p.is_zero:
-        return p
-    if p.degree % 2:
+    c = [*p.numerators]
+    for j in range(len(c) // 2):
+        for i in range(len(c) - 1, 2 * j + 1, -1):
+            c[i - 1] -= c[i]
+    a, b = ([x << j for j, x in enumerate(c[k::2])] for k in (0, 1))
+    return Polynomial(a, p.denominator), Polynomial(b, p.denominator)
+
+
+def triangular_decompose(p: Polynomial) -> Polynomial:
+    """Rewrite p(n) as A(u) from the split p = A(u) + n * B(u), or raise NotTriangular if B != 0."""
+    if p.degree % 2 and not p.is_zero:
         raise NotTriangular(f"degree {p.degree} is odd")
-    half = p.degree // 2
-    rem = [*p.numerators, 0]  # the first step reads index 2 * half + 1
-    out = []
-    for d in range(half, -1, -1):
-        if rem[2 * d + 1]:
-            raise NotTriangular(f"stripping left an odd-degree remainder (degree {2 * d + 1})")
-        c = rem[2 * d]
-        if c:
-            binom = 1  # C(d, j)
-            for j in range(d + 1):
-                rem[d + j] -= c * binom
-                binom = binom * (d - j) // (j + 1)
-        out.append(c << d)
-    return Polynomial(out[::-1], p.denominator)
+    a, b = _split(p)
+    if not b.is_zero:
+        raise NotTriangular(f"stripping left an odd-degree remainder (degree {2 * b.degree + 1})")
+    return a
 
 
 def faulhaber_form(power: int) -> FaulhaberForm:
-    """Direct route: exact division by the multiplier, then rewrite in u."""
+    """Direct route: split S_p = A(u) + n * B(u) and read the form off A.
+
+    The odd multiplier is u^2, so B = 0; the even one is (1 + 2n) * u / 3, so
+    B = 2A. Terms of A or B below u^2 (odd) or u (even) are a remainder of dividing by it.
+    """
     if power < 2:
         raise ValueError("triangular forms require power >= 2")
-    _, multiplier, _, divisor = BY_PARITY[power % 2]
-    quotient, remainder = divmod(powersum_monomial(power), divisor)
-    if not remainder.is_zero:
-        raise ConsistencyError(
-            f"power sum for exponent {power} is not divisible by {multiplier.value}"
-        )
-    return _build_form(FaulhaberForm, power, triangular_decompose(quotient))
+    low, twin, scale = (2, 0, 1) if power % 2 else (1, 2, 3)  # B = twin*A, q = scale*A/u^low
+    failed = f"power sum for exponent {power} is not"
+    multiplier = BY_PARITY[power % 2][1].value
+    a, b = _split(powersum_monomial(power))
+    if any(a.numerators[:low] + b.numerators[:low]):
+        raise ConsistencyError(f"{failed} divisible by {multiplier}")
+    if b != Polynomial([twin * x for x in a.numerators], a.denominator):
+        raise ConsistencyError(f"{failed} {multiplier} times a polynomial in u")
+    quotient = [scale * x for x in a.numerators[low:]]
+    return _build_form(FaulhaberForm, power, Polynomial(quotient, a.denominator))
 
 
 def _inductive_table(m: int) -> list[Polynomial | None]:

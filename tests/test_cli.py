@@ -14,22 +14,36 @@ from pathlib import Path
 
 import pytest
 
-from faulhaber import cli, powersum
+from faulhaber import cli, powersum, triangular
 from faulhaber.bernoulli import bernoulli_polynomial
-from faulhaber.polynomial import Polynomial
+from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import powersum_via_bernoulli_poly
 from faulhaber.reports import CheckLine, VerificationReport
 from faulhaber.shifted import ShiftedForm, shifted_closed_form, shifted_form, shifted_to_monomial
-from faulhaber.triangular import FaulhaberForm, expand_to_monomial, faulhaber_form
+from faulhaber.triangular import (
+    SQUARE_OF_SUM_OF_N,
+    SUM_OF_SQUARES_OF_N,
+    FaulhaberForm,
+    expand_to_monomial,
+    faulhaber_form,
+)
 
 F = Fraction
 SRC = Path(__file__).parents[1] / "src"
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_common", Path(__file__).parents[1] / "perfbench" / "common.py"
-)
-perfbench_common = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(perfbench_common)
+
+def _load_perfbench(name: str):
+    """perfbench/<name>.py as a module, loaded by path without importing the package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+perfbench_common = _load_perfbench("common")
+perfbench_tracing = _load_perfbench("tracing")
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -241,6 +255,27 @@ class TestEvalCommand:
         assert code == 1
         assert out == ""
         assert err == "error: power sum for exponent 5 is not divisible by Sum(k)^2\n"
+
+    @pytest.mark.parametrize("basis", ["triangular", "shifted"])
+    @pytest.mark.parametrize(
+        "power, wrong_sum, multiplier",
+        [
+            # divisible by its multiplier, but the quotients n^2 and n are no polynomials in u
+            ("5", SQUARE_OF_SUM_OF_N * X * X, "Sum(k)^2"),
+            ("4", SUM_OF_SQUARES_OF_N * X, "Sum(k^2)"),
+        ],
+        ids=["odd", "even"],
+    )
+    def test_quotient_not_in_u_is_one_line_exit_one(
+        self, capsys, monkeypatch, basis, power, wrong_sum, multiplier
+    ):
+        monkeypatch.setattr(triangular, "powersum_monomial", lambda m: wrong_sum)
+        code, out, err = run(capsys, "powersum", power, "--basis", basis)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: power sum for exponent {power} is not {multiplier} times a polynomial in u\n"
+        )
 
     def test_check_cap(self, capsys):
         code, _, err = run(capsys, "eval", "2", str(10**6 + 1), "--check")
@@ -515,6 +550,29 @@ class TestAgainstReference:
             if perfbench_common.outcome(0, text) != outcomes[key]
         ]
         assert mismatches == []
+
+
+class TestBenchmarkBindings:
+    """Every name the benchmark's tracer wraps still exists in the library.
+
+    `Tracer.install` reads each name with no default, so a moved or deleted
+    function or method would crash `--trace 1` rather than leave a layer empty.
+    """
+
+    def test_every_traced_function_resolves(self):
+        missing = [
+            f"{module}.{name}"
+            for module, table in perfbench_tracing.FUNCTIONS.items()
+            for name in table
+            if not callable(getattr(importlib.import_module(module), name, None))
+        ]
+        assert missing == []
+
+    def test_every_traced_polynomial_method_exists(self):
+        missing = [
+            name for name in perfbench_tracing.POLYNOMIAL_METHODS if not hasattr(Polynomial, name)
+        ]
+        assert missing == []
 
 
 class TestStartup:

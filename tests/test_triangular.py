@@ -17,12 +17,15 @@ from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import oracle_sum, powersum_monomial
 from faulhaber.reports import CheckLine
 from faulhaber.triangular import (
+    BY_PARITY,
+    SUM_OF_SQUARES_OF_N,
     U_OF_N,
     ConsistencyError,
     FaulhaberForm,
     Multiplier,
     NotTriangular,
     _inductive_table,
+    _split,
     expand_to_monomial,
     faulhaber_form,
     faulhaber_form_inductive,
@@ -118,6 +121,12 @@ class TestDecompose:
             triangular_decompose(p)
         assert str(caught.value) == message
 
+    @given(wide_u_coefficient_lists, wide_u_coefficient_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_split_recovers_both_halves(self, a_coeffs, b_coeffs):
+        a, b = Polynomial(a_coeffs), Polynomial(b_coeffs)
+        assert _split(a.compose(U_OF_N) + X * b.compose(U_OF_N)) == (a, b)
+
 
 class TestDirectForm:
     def test_power_two(self):
@@ -148,14 +157,20 @@ class TestDirectForm:
         with pytest.raises(ValueError):
             faulhaber_form(1)
 
+    @pytest.mark.parametrize("power", [*range(2, 101), 400, 401, 800, 801])
+    def test_long_division_by_the_multiplier_agrees(self, power):
+        # Polynomial.__divmod__ is the reference: it shares no code with the split
+        quotient = faulhaber_form(power).polynomial.compose(U_OF_N)
+        assert divmod(powersum_monomial(power), BY_PARITY[power % 2][3]) == (quotient, Polynomial())
+
     def test_coefficients_view_reverses_the_polynomial_in_u(self):
         form = faulhaber_form(4)
         assert form.polynomial == Polynomial((F(-1, 5), F(6, 5)))
         assert form.coefficients == (F(6, 5), F(-1, 5))
 
     def test_wrong_degree_is_a_one_line_consistency_error(self, monkeypatch, capsys):
-        # a decomposition one u-power short cannot be the power-6 form
-        monkeypatch.setattr(triangular, "triangular_decompose", lambda q: Polynomial((0, 1)))
+        # sum(k^2) * u splits cleanly, but as the power-6 form it is one u-power short
+        monkeypatch.setattr(triangular, "powersum_monomial", lambda m: SUM_OF_SQUARES_OF_N * U_OF_N)
         with pytest.raises(ConsistencyError, match="has degree 1, expected 2"):
             faulhaber_form(6)
         assert cli.main(["powersum", "6", "--basis", "triangular"]) == 1
