@@ -14,6 +14,7 @@ from .bernoulli import (
     bernoulli_polynomial,
     verify_odd_zero,
 )
+from .forms import ConsistencyError, FaulhaberForm, Multiplier, ShiftedForm
 from .polynomial import Polynomial, X
 from .powersum import (
     check_partial_sum_identity,
@@ -28,16 +29,12 @@ from .recurrence import (
 )
 from .reports import CheckLine, VerificationReport
 from .shifted import (
-    ShiftedForm,
     shifted_closed_form,
     shifted_form,
     shifted_to_monomial,
     verify_roundtrip,
 )
 from .triangular import (
-    ConsistencyError,
-    FaulhaberForm,
-    Multiplier,
     NotTriangular,
     expand_to_monomial,
     faulhaber_form,

@@ -15,6 +15,7 @@ import sys
 from collections.abc import Sequence
 
 from .bernoulli import bernoulli_at_half, bernoulli_number, bernoulli_polynomial, verify_odd_zero
+from .forms import ConsistencyError
 from .powersum import oracle_sum, powersum_monomial
 from .recurrence import verify_recurrence_consistency
 from .render import (
@@ -27,7 +28,6 @@ from .render import (
 )
 from .shifted import shifted_closed_form, shifted_form, verify_roundtrip
 from .triangular import (
-    ConsistencyError,
     faulhaber_form,
     faulhaber_form_inductive,
     verify_constant_term_bernoulli,

@@ -17,9 +17,8 @@ import re
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .forms import BY_PARITY, FaulhaberForm, ShiftedForm
 from .polynomial import Polynomial
-from .shifted import ShiftedForm
-from .triangular import BY_PARITY, FaulhaberForm
 
 
 def rational_text(value: int | Fraction, fraction: str = "%s/%s") -> str:

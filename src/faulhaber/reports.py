@@ -48,6 +48,9 @@ class Record:
     def __hash__(self) -> int:
         return hash(self._fields())
 
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild it through the checking constructor
+        return type(self), self._fields()
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={_literal(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"

@@ -14,50 +14,11 @@ from fractions import Fraction
 from math import comb
 
 from .bernoulli import bernoulli_at_half
+from .forms import BY_PARITY, U_OF_SHIFT, FaulhaberForm, ShiftedForm
 from .polynomial import Polynomial, X
 from .powersum import powersum_monomial
-from .reports import CheckLine, Record, VerificationReport
-from .triangular import (
-    FaulhaberForm,
-    _build_form,
-    _set_form,
-    expand_to_monomial,
-    faulhaber_form,
-)
-
-#: u rewritten in N: u = N^2/2 - 1/8. Also equals sum k.
-U_OF_SHIFT = Polynomial((Fraction(-1, 8), 0, Fraction(1, 2)))
-
-#: sum k^2 = N(N^2/3 - 1/12).
-SUM_OF_SQUARES_SHIFTED = Polynomial((0, Fraction(-1, 12), 0, Fraction(1, 3)))
-
-#: (sum k)^2 = (N^2/2 - 1/8)^2.
-SQUARE_OF_SUM_SHIFTED = U_OF_SHIFT * U_OF_SHIFT
-
-
-class ShiftedForm(Record):
-    """One power sum as a single-parity polynomial in N = n + 1/2.
-
-    `polynomial` is the sum in N, of degree power + 1, with only exponents of
-    that parity. `coefficients` reads it in the paper's order: for an even
-    power 2m, d_0..d_m multiplying N^(2m+1), N^(2m-1), ..., N (one more
-    entry than the triangular list, because the multiplier contributes a
-    coefficient of its own after substitution); for an odd power 2m+1,
-    e_0..e_(m+1) multiplying N^(2m+2), N^(2m), ..., N^2, 1, where the
-    trailing constant term exists only in this parity.
-    """
-
-    __slots__ = ("power", "polynomial")
-
-    def __init__(self, power: int, polynomial: Polynomial) -> None:
-        _set_form(self, "shifted", power, polynomial)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """The coefficients of the present powers of N, highest first, built afresh on each read."""
-        return self.polynomial.coeffs[::-2]
-
-    parity = FaulhaberForm.parity  # "even" or "odd", from the power, as for a triangular form
+from .reports import CheckLine, VerificationReport
+from .triangular import expand_to_monomial, faulhaber_form
 
 
 def shifted_form(power: int) -> ShiftedForm:
@@ -65,14 +26,14 @@ def shifted_form(power: int) -> ShiftedForm:
     if power < 1:
         raise ValueError("shifted forms require power >= 1")
     if power == 1:
-        return _build_form(ShiftedForm, 1, U_OF_SHIFT)
+        return ShiftedForm.from_route(1, U_OF_SHIFT)
     return _from_triangular(faulhaber_form(power))
 
 
 def _from_triangular(form: FaulhaberForm) -> ShiftedForm:
     """Substitute u = N^2/2 - 1/8 into a triangular form and its multiplier."""
-    multiplier = (SUM_OF_SQUARES_SHIFTED, SQUARE_OF_SUM_SHIFTED)[form.power % 2]
-    return _build_form(ShiftedForm, form.power, form.polynomial.compose(U_OF_SHIFT) * multiplier)
+    multiplier = BY_PARITY[form.power % 2][4]
+    return ShiftedForm.from_route(form.power, form.polynomial.compose(U_OF_SHIFT) * multiplier)
 
 
 def shifted_closed_form(power: int) -> ShiftedForm:
@@ -95,7 +56,7 @@ def shifted_closed_form(power: int) -> ShiftedForm:
         c.append(-sum(c[i] / Fraction(4) ** (m - i + 1) for i in range(m + 1)))
     slots: list[Fraction | int] = [0] * (power + 2)
     slots[::-2] = c  # N^(power+1), N^(power-1), ...
-    return _build_form(ShiftedForm, power, Polynomial(slots))
+    return ShiftedForm.from_route(power, Polynomial(slots))
 
 
 def shifted_to_monomial(form: ShiftedForm) -> Polynomial:

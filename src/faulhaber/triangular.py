@@ -12,113 +12,19 @@ oracle and they must agree exactly.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
 
 from .bernoulli import bernoulli_number
+from .forms import BY_PARITY, SUM_OF_SQUARES_OF_N, U_OF_N, ConsistencyError, FaulhaberForm
 from .polynomial import Polynomial, X, _combine
 from .powersum import powersum_monomial
-from .reports import CheckLine, Record, VerificationReport
+from .reports import CheckLine, VerificationReport
 
 
 class NotTriangular(ValueError):
     """Raised when a polynomial in n is not a polynomial in u."""
-
-
-class ConsistencyError(RuntimeError):
-    """An internal identity that must hold exactly failed to.
-
-    Raised when a power sum is not its multiplier times a polynomial in u,
-    or an inductive step leaves a stray linear-sum term; either means the
-    implementation (not the input) is wrong, so computation aborts.
-    """
-
-
-class Multiplier(Enum):
-    """The quadratic/quartic factor carried by a triangular-basis form."""
-
-    SUM_OF_SQUARES = "Sum(k^2)"
-    SQUARE_OF_SUM = "Sum(k)^2"
-
-
-#: u as a polynomial in n: n(n+1)/2. Also equals sum(k for k in 1..n).
-U_OF_N = Polynomial((0, Fraction(1, 2), Fraction(1, 2)))
-
-#: sum(k^2 for k in 1..n) = n(n+1)(2n+1)/6.
-SUM_OF_SQUARES_OF_N = Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
-
-#: (sum k)^2, the odd-exponent multiplier.
-SQUARE_OF_SUM_OF_N = U_OF_N * U_OF_N
-
-#: power % 2 -> (parity, multiplier, its LaTeX text, the multiplier as a polynomial in n)
-BY_PARITY = (
-    ("even", Multiplier.SUM_OF_SQUARES, r"\cdot\sum k^{2}", SUM_OF_SQUARES_OF_N),
-    ("odd", Multiplier.SQUARE_OF_SUM, r"\cdot\left(\sum k\right)^{2}", SQUARE_OF_SUM_OF_N),
-)
-
-
-def _set_form(form: Record, kind: str, power: int, polynomial: Polynomial) -> None:
-    """Set a form's fields once its shape is checked; a wrong shape raises ValueError.
-
-    A triangular form's power is at least 2 and its polynomial in u has degree
-    power // 2 - 1. A shifted form's power is at least 1 and its polynomial in
-    N has degree power + 1, with no exponent of the other parity.
-    """
-    least = 1 if kind == "shifted" else 2
-    if type(power) is not int or power < least:
-        raise ValueError(f"{kind} forms require an int power >= {least}")
-    if not isinstance(polynomial, Polynomial):
-        raise TypeError(f"a {kind} form holds a Polynomial, not {type(polynomial).__name__}")
-    degree = power + 1 if kind == "shifted" else power // 2 - 1
-    if polynomial.degree != degree:
-        raise ValueError(
-            f"{kind} form for power {power} has degree {polynomial.degree}, expected {degree}"
-        )
-    if kind == "shifted":
-        for k in range(power, -1, -2):
-            if polynomial.numerators[k]:
-                raise ValueError(f"shifted form for power {power} has a stray N^{k} term")
-    object.__setattr__(form, "power", power)
-    object.__setattr__(form, "polynomial", polynomial)
-
-
-def _build_form(cls: type, power: int, polynomial: Polynomial) -> Record:
-    """cls(power, polynomial) for a route: a wrong shape is the route's fault, a ConsistencyError."""
-    try:
-        return cls(power, polynomial)
-    except ValueError as exc:
-        raise ConsistencyError(str(exc)) from exc
-
-
-class FaulhaberForm(Record):
-    """One power sum written as a polynomial in u times a fixed multiplier.
-
-    `polynomial` is the factor in u, of degree power // 2 - 1; the power's
-    parity decides the multiplier. `coefficients` reads it in the paper's
-    order, highest u-power first, so the last entry is the constant term.
-    """
-
-    __slots__ = ("power", "polynomial")
-
-    def __init__(self, power: int, polynomial: Polynomial) -> None:
-        _set_form(self, "triangular", power, polynomial)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """The coefficients in u, highest power first, built afresh on each read."""
-        return self.polynomial.coeffs[::-1]
-
-    @property
-    def parity(self) -> str:
-        """The power's parity, "even" or "odd"."""
-        return BY_PARITY[self.power % 2][0]
-
-    @property
-    def multiplier(self) -> Multiplier:
-        """Sum(k^2) for an even power, Sum(k)^2 for an odd one."""
-        return BY_PARITY[self.power % 2][1]
 
 
 def _split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -163,7 +69,7 @@ def faulhaber_form(power: int) -> FaulhaberForm:
     if b != Polynomial([twin * x for x in a.numerators], a.denominator):
         raise ConsistencyError(f"{failed} {multiplier} times a polynomial in u")
     quotient = [scale * x for x in a.numerators[low:]]
-    return _build_form(FaulhaberForm, power, Polynomial(quotient, a.denominator))
+    return FaulhaberForm.from_route(power, Polynomial(quotient, a.denominator))
 
 
 def _inductive_table(m: int) -> list[Polynomial | None]:
@@ -218,7 +124,7 @@ def faulhaber_form_inductive(power: int) -> FaulhaberForm:
     """Inductive route; must agree exactly with faulhaber_form."""
     if power < 2:
         raise ValueError("triangular forms require power >= 2")
-    return _build_form(FaulhaberForm, power, _inductive_table(power)[power])
+    return FaulhaberForm.from_route(power, _inductive_table(power)[power])
 
 
 def expand_to_monomial(form: FaulhaberForm) -> Polynomial:

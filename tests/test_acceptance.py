@@ -12,11 +12,11 @@ import time
 from fractions import Fraction
 
 from faulhaber.bernoulli import BernoulliCache, bernoulli_number
+from faulhaber.forms import FaulhaberForm
 from faulhaber.powersum import oracle_sum, powersum_monomial
 from faulhaber.recurrence import verify_recurrence_consistency
 from faulhaber.shifted import shifted_closed_form, shifted_form, shifted_to_monomial
 from faulhaber.triangular import (
-    FaulhaberForm,
     _inductive_table,
     expand_to_monomial,
     faulhaber_form,

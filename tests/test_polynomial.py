@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from faulhaber.polynomial import Polynomial, X, _combine
 from faulhaber.powersum import powersum_monomial
 from faulhaber.recurrence import he_ricci_polynomial, partial_sum_polynomial
-from faulhaber.triangular import SQUARE_OF_SUM_OF_N, _inductive_table
+from faulhaber.forms import SQUARE_OF_SUM_OF_N
+from faulhaber.triangular import _inductive_table
 
 F = Fraction
 

@@ -3,15 +3,16 @@ equality, hashing, immutability and repr."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
 import pytest
 
+from faulhaber.forms import FaulhaberForm, Multiplier, ShiftedForm
 from faulhaber.polynomial import Polynomial, X
 from faulhaber.reports import CheckLine, VerificationReport
-from faulhaber.shifted import ShiftedForm
-from faulhaber.triangular import FaulhaberForm, Multiplier
 
 F = Fraction
 
@@ -111,6 +112,19 @@ def test_repr_at_any_length_rebuilds_an_equal_value(value):
         rebuilt = eval(text, dict(NAMES))
     finally:
         sys.set_int_max_str_digits(limit)
+    assert rebuilt == value
+
+
+@pytest.mark.parametrize("round_trip", [
+    copy.copy,
+    copy.deepcopy,
+    lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copy_deepcopy_and_pickle_rebuild_an_equal_value(record, round_trip):
+    cls, fields, _ = record
+    value = cls(**fields)
+    rebuilt = round_trip(value)
+    assert type(rebuilt) is cls
     assert rebuilt == value
 
 

@@ -8,16 +8,15 @@ from fractions import Fraction
 import pytest
 
 from faulhaber import shifted
+from faulhaber.forms import ConsistencyError, ShiftedForm
 from faulhaber.polynomial import Polynomial, X
 from faulhaber.powersum import powersum_monomial
 from faulhaber.shifted import (
-    ShiftedForm,
     shifted_closed_form,
     shifted_form,
     shifted_to_monomial,
     verify_roundtrip,
 )
-from faulhaber.triangular import ConsistencyError
 
 F = Fraction
 
@@ -95,15 +94,21 @@ class TestStructure:
         assert shifted_form(4).polynomial.coeffs[0] == 0
         assert shifted_form(5).polynomial.coeffs[0] != 0
 
+    @staticmethod
+    def _set_even_shifted_multiplier(monkeypatch, multiplier):
+        """Replace the even multiplier in N in the parity table that the conversion reads."""
+        even, odd = shifted.BY_PARITY
+        monkeypatch.setattr(shifted, "BY_PARITY", ((*even[:4], multiplier), odd))
+
     def test_stray_term_rejected(self, monkeypatch):
-        wrong = shifted.SUM_OF_SQUARES_SHIFTED + X * X
-        monkeypatch.setattr(shifted, "SUM_OF_SQUARES_SHIFTED", wrong)
+        wrong = shifted.BY_PARITY[0][4] + X * X
+        self._set_even_shifted_multiplier(monkeypatch, wrong)
         with pytest.raises(ConsistencyError, match=r"stray N\^2 term"):
             shifted_form(2)
 
     def test_wrong_degree_rejected(self, monkeypatch):
-        wrong = shifted.SUM_OF_SQUARES_SHIFTED * X
-        monkeypatch.setattr(shifted, "SUM_OF_SQUARES_SHIFTED", wrong)
+        wrong = shifted.BY_PARITY[0][4] * X
+        self._set_even_shifted_multiplier(monkeypatch, wrong)
         with pytest.raises(ConsistencyError, match="has degree 4, expected 3"):
             shifted_form(2)
 

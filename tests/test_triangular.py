@@ -13,16 +13,18 @@ from hypothesis import strategies as st
 
 from faulhaber import cli, powersum, triangular
 from faulhaber.bernoulli import bernoulli_number
-from faulhaber.polynomial import Polynomial, X
-from faulhaber.powersum import oracle_sum, powersum_monomial
-from faulhaber.reports import CheckLine
-from faulhaber.triangular import (
+from faulhaber.forms import (
     BY_PARITY,
     SUM_OF_SQUARES_OF_N,
     U_OF_N,
     ConsistencyError,
     FaulhaberForm,
     Multiplier,
+)
+from faulhaber.polynomial import Polynomial, X
+from faulhaber.powersum import oracle_sum, powersum_monomial
+from faulhaber.reports import CheckLine
+from faulhaber.triangular import (
     NotTriangular,
     _inductive_table,
     _split,
