@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 
 from .bernoulli import bernoulli_number
 from .forms import BY_PARITY, SUM_OF_SQUARES_OF_N, U_OF_N, ConsistencyError, FaulhaberForm
-from .polynomial import Polynomial, X, _combine
+from .polynomial import Polynomial, X
 from .powersum import powersum_monomial
+from .recurrence import _extend
 from .reports import CheckLine, VerificationReport
 
 
@@ -75,49 +75,37 @@ def faulhaber_form(power: int) -> FaulhaberForm:
 def _inductive_table(m: int) -> list[Polynomial | None]:
     """None, None, then the polynomials in u of the forms for powers 2..m.
 
-    Independent route: every form is built from lower ones by induction.
-    Base forms: power 2 and power 3 both have u-polynomial 1. The step to an
-    even power p rewrites the inner sums of k**(p-1) through the
-    monomial coefficients C(p, 2j)/p * B_2j (all odd Bernoulli terms beyond
-    B_1 vanish), then turns (n + 1/2)(sum k)^2 into (3/2) u sum(k^2) via the
-    first bridge identity. The step to an odd power additionally produces a
-    stray B_(p-1) * (sum k) term which must cancel exactly against
-    (constant term)/6 of the even form below it; a nonzero residue would
-    falsify the construction, so it raises ConsistencyError. Each step's
-    factor p/(p+1) is folded into every scalar of one combination, and every
-    scalar is a pair of integers (numerator, denominator).
+    Independent route: every form is built from lower ones by induction, run
+    by the partial-sum recurrence kernel `recurrence._extend` with step 2, so
+    forms[p - 2j] has the parity of p and so the multiplier of forms[p].
+    Base forms: power 2 and power 3 both have u-polynomial 1. The step to
+    power p subtracts C(p, 2j)/(p + 1) * B_2j * forms[p - 2j] from a lift of
+    forms[p - 1]; the Bernoulli list holds None at every odd index, so the
+    vanishing of the odd Bernoulli numbers beyond B_1 is built in and no odd
+    one is ever read. The lift to an even power turns (n + 1/2)(sum k)^2 into
+    (3/2) u sum(k^2) via the first bridge identity. The lift to an odd power
+    additionally produces a stray B_(p-1) * (sum k) term which must cancel
+    exactly against (constant term)/6 of the even form below it; a nonzero
+    residue would falsify the construction, so it raises ConsistencyError.
+    Every scalar is a pair of integers (numerator, denominator).
     """
-    # B_k as (numerator, denominator), read once; only even k >= 2 enter
-    bernoulli = {k: bernoulli_number(k).as_integer_ratio() for k in range(2, m, 2)}
-    forms: list[Polynomial | None] = [None, None, Polynomial((1,)), Polynomial((1,))]
-    for p in range(4, m + 1):
-        # forms[p - 2j] has the parity of p, and so the multiplier of forms[p]
-        lower = []
-        for j in range(1, p // 2):
-            num, den = bernoulli[2 * j]
-            lower.append((-comb(p, 2 * j) * num, (p + 1) * den, forms[p - 2 * j]))
-        f = forms[p - 1]
+    bernoulli = [None if k % 2 else bernoulli_number(k).as_integer_ratio() for k in range(m)]
+
+    def lift(p: int, f: Polynomial, u_f: Polynomial) -> list:
         if p % 2 == 0:
             # first bridge identity: (n+1/2) f(u) (sum k)^2 = (3/2) u f(u) sum(k^2)
-            u_f = Polynomial((0, *f.numerators), f.denominator)
-            lifted = [(3 * p, 2 * (p + 1), u_f)]
-        else:
-            num, den = bernoulli[p - 1]
-            constant = f.numerators[0] if f.numerators else 0
-            if constant * den != 6 * f.denominator * num:  # f(0) / 6 != B_(p-1)
-                raise ConsistencyError(
-                    f"stray linear-sum term at power {p}: constant/6 != B_{p - 1}"
-                )
-            # second bridge identity: (n+1/2) f(u) sum(k^2) becomes
-            # (4/3 f(u) + (f(u) - f(0))/(6u)) (sum k)^2 + (f(0)/6) sum k,
-            # and the trailing piece is exactly the stray term cancelled above.
-            lifted = [
-                (4 * p, 3 * (p + 1), f),
-                (p, 6 * (p + 1), Polynomial(f.numerators[1:], f.denominator)),
-            ]
-        # forms[p] = p/(p+1) * (lifted - sum(b_j * forms[p - 2j])), b_j = C(p, 2j)/p * B_2j
-        forms.append(_combine(lifted + lower))
-    return forms
+            return [(3 * p, 2 * (p + 1), u_f)]
+        num, den = bernoulli[p - 1]
+        constant = f.numerators[0] if f.numerators else 0
+        if constant * den != 6 * f.denominator * num:  # f(0) / 6 != B_(p-1)
+            raise ConsistencyError(f"stray linear-sum term at power {p}: constant/6 != B_{p - 1}")
+        # second bridge identity: (n+1/2) f(u) sum(k^2) becomes
+        # (4/3 f(u) + (f(u) - f(0))/(6u)) (sum k)^2 + (f(0)/6) sum k,
+        # and the trailing piece is exactly the stray term cancelled above.
+        f_over_u = Polynomial(f.numerators[1:], f.denominator)  # (f(u) - f(0)) / u
+        return [(4 * p, 3 * (p + 1), f), (p, 6 * (p + 1), f_over_u)]
+
+    return _extend([None, None, Polynomial((1,)), Polynomial((1,))], m, bernoulli, lift, 1, 2)
 
 
 def faulhaber_form_inductive(power: int) -> FaulhaberForm:

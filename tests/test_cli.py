@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from faulhaber import cli, powersum, triangular
+from faulhaber import cli, powersum, recurrence, triangular
 from faulhaber.bernoulli import bernoulli_polynomial
 from faulhaber.forms import SQUARE_OF_SUM_OF_N, SUM_OF_SQUARES_OF_N, FaulhaberForm, ShiftedForm
 from faulhaber.polynomial import Polynomial, X
@@ -460,6 +460,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
         assert "first counterexample: B_5 = 0" in out
+
+    def test_recurrence_failure_names_the_recurrence_that_differs(self, capsys, monkeypatch):
+        exact = recurrence.bernoulli_number
+        monkeypatch.setattr(
+            recurrence, "bernoulli_number", lambda k: exact(k) + (1 if k == 6 else 0)
+        )
+        code, out, _ = run(capsys, "verify", "recurrence", "--max", "10")
+        assert code == 1
+        assert out == (
+            "recurrence: FAIL (10 checks, 5 failed)\n"
+            "first counterexample: recurrences agree at index 6"
+            " (Bernoulli-polynomial recurrence differs)\n"
+        )
 
 
 class TestAgainstReference:

@@ -6,15 +6,20 @@ from fractions import Fraction
 
 import pytest
 
+from faulhaber import recurrence, triangular
 from faulhaber.bernoulli import bernoulli_polynomial
+from faulhaber.forms import ConsistencyError
 from faulhaber.polynomial import Polynomial
 from faulhaber.powersum import oracle_sum, powersum_monomial
 from faulhaber.recurrence import (
+    _he_ricci_table,
+    _partial_sum_table,
     he_ricci_polynomial,
     partial_sum_polynomial,
     verify_recurrence_consistency,
 )
 from faulhaber.reports import CheckLine
+from faulhaber.triangular import faulhaber_form, faulhaber_form_inductive
 
 F = Fraction
 
@@ -83,3 +88,47 @@ class TestConsistencyReport:
     def test_bound_rejected(self):
         with pytest.raises(ValueError):
             verify_recurrence_consistency(1)
+
+
+def _recurrence_fails_first_at_six():
+    lines = verify_recurrence_consistency(10).lines
+    assert [line.passed for line in lines[:5]] == [True] * 5
+    assert lines[5] == CheckLine(
+        "recurrences agree at index 6 (Bernoulli-polynomial recurrence differs)", False
+    )
+    # B_6 enters the power-sum recurrence one index later
+    assert lines[6].label.endswith(" (power-sum recurrence differs)")
+
+
+def _inductive_four_differs():
+    assert faulhaber_form_inductive(4) != faulhaber_form(4)
+
+
+def _inductive_seven_has_a_stray_term():
+    with pytest.raises(ConsistencyError, match="stray linear-sum term at power 7"):
+        faulhaber_form_inductive(7)
+
+
+def _tables_unchanged():
+    bernoulli_table, sum_table = _he_ricci_table(30), _partial_sum_table(30)
+    for m in range(31):
+        assert bernoulli_table[m] == bernoulli_polynomial(m), m
+    for m in range(1, 31):
+        assert sum_table[m] == powersum_monomial(m), m
+
+
+@pytest.mark.parametrize(
+    "module, shifts, check",
+    [
+        (recurrence, {6: 1}, _recurrence_fails_first_at_six),
+        (triangular, {2: 1}, _inductive_four_differs),
+        (triangular, {6: 1}, _inductive_seven_has_a_stray_term),
+        # B_0 and B_1 never enter a lower sum, so wrong values change nothing
+        (recurrence, {0: 5, 1: F(1, 3)}, _tables_unchanged),
+    ],
+    ids=["recurrence-B6", "inductive-B2", "inductive-B6", "recurrence-B0-B1"],
+)
+def test_each_bernoulli_value_a_table_reads_has_an_effect(monkeypatch, module, shifts, check):
+    exact = module.bernoulli_number
+    monkeypatch.setattr(module, "bernoulli_number", lambda k: exact(k) + shifts.get(k, 0))
+    check()

@@ -220,6 +220,20 @@ class TestInductiveForm:
         with pytest.raises(ConsistencyError, match="stray linear-sum term at power 5"):
             faulhaber_form_inductive(5)
 
+    def test_reads_no_odd_index_bernoulli_number(self, monkeypatch):
+        # the converse's hypothesis is structural: an odd B_k is never even read
+        exact = triangular.bernoulli_number
+
+        def even_only(k):
+            if k % 2:
+                raise AssertionError(f"the inductive route read B_{k}")
+            return exact(k)
+
+        monkeypatch.setattr(triangular, "bernoulli_number", even_only)
+        table = _inductive_table(60)
+        for power in range(2, 61):
+            assert table[power] == faulhaber_form(power).polynomial, power
+
 
 class TestExpansion:
     def test_power_four_back_to_monomial(self):
