@@ -2,8 +2,8 @@
 
 Identical inputs produce byte-identical strings: term order is fixed
 (descending powers), rationals are always reduced `p/q` text, and JSON key
-order is hard-coded. Zero terms are omitted from plain and LaTeX output;
-JSON keeps full coefficient lists so it round-trips.
+order is hard-coded. Plain and LaTeX omit zero terms and differ only in
+`_FORMATS`; JSON keeps full coefficient lists so it round-trips.
 
 The CLI writes every number with `rational_text` and reads every integer with
 `read_integer`: through `decimal`, both are exact past the digit limit at
@@ -16,6 +16,7 @@ import decimal
 import re
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .forms import BY_PARITY, FaulhaberForm, ShiftedForm
 from .polynomial import Polynomial
@@ -35,35 +36,36 @@ def read_integer(text: str) -> int:
     return int(decimal.Decimal(text))
 
 
-#: The only text in which plain and LaTeX terms differ. Per format: a fraction
-#: p/q, a variable {v} to a power {k}, the product of a coefficient and its
-#: variable, and the sign before a later positive / negative term.
+#: The only text in which plain and LaTeX differ. Per format: a fraction p/q, a
+#: variable {v} to a power {k}, the product of a coefficient and its variable, the
+#: sign before a later positive / negative term, u = S1, a triangular form from its
+#: terms in u {0} and its multiplier's plain {1} or LaTeX {2} text, a shifted form
+#: around the terms of an even / odd power, and the text after a shifted form.
 _FORMATS = {
-    "plain": ("%s/%s", "{v}^{k}", "*", (" + ", " - ")),
-    "latex": (r"\frac{%s}{%s}", "{v}^{{{k}}}", "", ("+", "-")),
+    "plain": SimpleNamespace(
+        fraction="%s/%s", power="{v}^{k}", product="*", signs=(" + ", " - "), u="S1",
+        triangular="({0}) * {1}", shifted=("N*({})", "{}"), where="  where N = n + 1/2"),
+    "latex": SimpleNamespace(
+        fraction=r"\frac{%s}{%s}", power="{v}^{{{k}}}", product="", signs=("+", "-"), u="S_{1}",
+        triangular=r"\left[{0}\right]{2}", shifted=(r"N\left({}\right)", "{}"), where=""),
 }
 
-#: the triangular variable u = S1 in each text format
-_S1 = {"plain": "S1", "latex": "S_{1}"}
 
-
-def _terms(coeffs: Sequence[Fraction | int], variable: str, fmt: str) -> str:
-    """The non-zero terms of the low-to-high `coeffs`, highest power first, in a text format."""
-    fraction, power, product, signs = _FORMATS[fmt]
+def _terms(poly: Polynomial, variable: str, fmt: str) -> str:
+    """The non-zero terms of `poly`, read off its integers, highest power first."""
+    tokens = _FORMATS[fmt]
     parts: list[str] = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        coeff = coeffs[k]
-        if coeff == 0:
+    for k in range(poly.degree, -1, -1):
+        num = poly.numerators[k]
+        if not num:
             continue
-        magnitude = abs(coeff)
-        if k == 0:
-            body = rational_text(magnitude, fraction)
-        else:
-            var = variable if k == 1 else power.format(v=variable, k=k)
-            body = var if magnitude == 1 else rational_text(magnitude, fraction) + product + var
+        body = rational_text(Fraction(abs(num), poly.denominator), tokens.fraction)
+        if k:
+            var = variable if k == 1 else tokens.power.format(v=variable, k=k)
+            body = var if abs(num) == poly.denominator else body + tokens.product + var
         if parts:
-            parts.append(signs[coeff < 0])
-        elif coeff < 0:
+            parts.append(tokens.signs[num < 0])
+        elif num < 0:
             parts.append("-")
         parts.append(body)
     return "".join(parts) or "0"
@@ -81,38 +83,34 @@ def _json(power: int, basis: str, multiplier: str | None, coefficients: Sequence
 def render_monomial(power: int, poly: Polynomial, fmt: str) -> str:
     if fmt == "json":
         return _json(power, "monomial", None, poly.coeffs or (0,), "degree-ascending")
-    return _terms(poly.coeffs, "n", fmt)
+    return _terms(poly, "n", fmt)
 
 
 def render_triangular(form: FaulhaberForm | None, fmt: str) -> str:
     """Render a triangular form; None means the power 1 special case, bare S1."""
-    if fmt == "json":
-        if form is None:
+    if form is None:
+        if fmt == "json":
             return _json(1, "triangular", None, (1, 0), "paper-descending")
+        return _FORMATS[fmt].u
+    if fmt == "json":
         return _json(form.power, "triangular", form.multiplier.value, form.coefficients,
                      "paper-descending")
-    if form is None:
-        return _S1[fmt]
-    inner = _terms(form.polynomial.coeffs, _S1[fmt], fmt)
-    if fmt == "plain":
-        return f"({inner}) * {form.multiplier.value}"
-    return rf"\left[{inner}\right]" + BY_PARITY[form.power % 2][2]
+    tokens = _FORMATS[fmt]
+    return tokens.triangular.format(_terms(form.polynomial, tokens.u, fmt),
+                                    form.multiplier.value, BY_PARITY[form.power % 2][2])
 
 
 def render_shifted(form: ShiftedForm, fmt: str) -> str:
     if fmt == "json":
         return _json(form.power, "shifted", None, form.coefficients, "paper-descending")
-    coeffs = form.polynomial.coeffs
-    even = form.parity == "even"
-    if even:
+    poly, odd = form.polynomial, form.power % 2
+    if not odd:
         # an even power gives an odd polynomial in N: its N^0 slot is zero, and
-        # dropping it leaves the part inside N*(...)
-        coeffs = coeffs[1:]
-    inner = _terms(coeffs, "N", fmt)
-    if fmt == "latex":
-        return rf"N\left({inner}\right)" if even else inner
-    return (f"N*({inner})" if even else inner) + "  where N = n + 1/2"
+        # dropping it leaves the sum divided by N, the part inside N*(...)
+        poly = Polynomial(poly.numerators[1:], poly.denominator)
+    tokens = _FORMATS[fmt]
+    return tokens.shifted[odd].format(_terms(poly, "N", fmt)) + tokens.where
 
 
 def render_polynomial_in_x(poly: Polynomial) -> str:
-    return _terms(poly.coeffs, "x", "plain")
+    return _terms(poly, "x", "plain")

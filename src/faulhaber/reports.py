@@ -4,16 +4,13 @@ immutable record base they share with `Polynomial` and both forms."""
 from __future__ import annotations
 
 import decimal
-from fractions import Fraction
 
 
 def _literal(value: object) -> str:
-    """repr(value), but through decimal for every int and Fraction in it: no digit limit."""
+    """repr(value), but through decimal for every int in it, in tuples too: no digit limit."""
     if isinstance(value, tuple):
         items = [_literal(v) for v in value]
         return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
-    if isinstance(value, Fraction):
-        return f"Fraction({_literal(value.numerator)}, {_literal(value.denominator)})"
     if isinstance(value, int) and not isinstance(value, bool):
         return str(decimal.Decimal(value))
     return repr(value)

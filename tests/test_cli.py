@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from faulhaber import cli, powersum, recurrence, triangular
+from faulhaber import cli, powersum, recurrence, render, triangular
 from faulhaber.bernoulli import bernoulli_polynomial
 from faulhaber.forms import SQUARE_OF_SUM_OF_N, SUM_OF_SQUARES_OF_N, FaulhaberForm, ShiftedForm
 from faulhaber.polynomial import Polynomial, X
@@ -130,6 +130,26 @@ class TestPowersumRendering:
         assert payload["coefficients"] == ["1/3", "-1/12"]
         assert payload["multiplier"] is None
         assert payload["ordering"] == "paper-descending"
+
+
+class TestTermWriter:
+    """The leading-minus and zero branches of the term writer, which no CLI request
+    reaches: every power sum and Bernoulli polynomial leads with a positive term."""
+
+    NEGATIVE = Polynomial((-1, -2, 0, -3), 2)
+
+    def test_plain_negative_terms(self):
+        assert render.render_polynomial_in_x(self.NEGATIVE) == "-3/2*x^3 - x - 1/2"
+
+    def test_latex_negative_terms(self):
+        text = render.render_monomial(3, self.NEGATIVE, "latex")
+        assert text == r"-\frac{3}{2}n^{3}-n-\frac{1}{2}"
+
+    def test_zero_polynomial_prints_zero(self):
+        assert render.render_polynomial_in_x(Polynomial(())) == "0"
+
+    def test_zero_polynomial_json_lists_one_zero(self):
+        assert json.loads(render.render_monomial(0, Polynomial(()), "json"))["coefficients"] == ["0"]
 
 
 class TestUsageErrors:
@@ -500,6 +520,24 @@ class TestAgainstReference:
         assert len(keys) > 700
         assert {key.split()[0] for key in keys} == {"powersum", "bernoulli", "eval"}
         assert {outcomes[key][0] for key in keys} == {"0", "2"}
+        mismatches = []
+        for key in keys:
+            code, out, _ = run(capsys, *key.split())
+            if perfbench_common.outcome(code, out.encode()) != outcomes[key]:
+                mismatches.append(key)
+        assert mismatches == []
+
+    def test_large_requests_match_the_reference(self, capsys):
+        # past degree 40 only this test reads the printer's output against
+        # bytes that do not come from the printer itself
+        outcomes = perfbench_common.load_expected().outcomes
+        keys = [
+            template.format(m=m)
+            for template in perfbench_workloads.CLI_LARGE
+            if "{n}" not in template
+            for m in (100, 101, 200, 201, 300, 301, 399, 400)
+        ]
+        assert len(keys) == 56
         mismatches = []
         for key in keys:
             code, out, _ = run(capsys, *key.split())
