@@ -18,28 +18,27 @@ from .reports import CheckLine, VerificationReport
 class BernoulliCache:
     """Growable memo table for Bernoulli numbers.
 
-    Defined by B_0 = 1 together with sum(C(n+1, k) * B_k for k in 0..n) = 0
-    for n >= 1, which pins B_1 = -1/2. Values are computed by that recurrence
-    and nothing else; in particular the vanishing of the odd values is an
-    observed consequence here, never an assumption.
-
-    The recurrence runs on integers: next to the published Fractions the
-    cache keeps every value's numerator over one common denominator, so each
-    new index is one integer sum and one Fraction.
+    Filled by the Akiyama-Tanigawa triangle (M. Kaneko, J. Integer Sequences
+    3 (2000), 00.2.9): for each new index n, append 1/(n+1) to one row, set
+    a[j-1] = j*(a[j-1] - a[j]) for j = n..1 and read B_n = a[0], flipping
+    B_1 to -1/2. The row is kept as integers over L = lcm(1..n+1). Every
+    index is computed, odd ones included, and parity is never used, so the
+    vanishing of the odd values is an observed consequence here, never an
+    assumption; the defining recurrence is the tests' oracle.
 
     Reads of already-published indices are lock-free (entries are immutable
     Fractions appended whole); extension is serialized so concurrent callers
     never observe a partially built table. An exception at any point of an
     extension (KeyboardInterrupt, MemoryError) leaves the table consistent:
-    the numerators and their denominator are replaced together, as one
-    attribute, and an index is published by appending its Fraction last.
+    each row is built out of place and stored with L as one attribute, and
+    an index is published by appending its Fraction last.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
-        # (numerators, common denominator); numerators past len(_values) were
-        # left by an interrupted extension and are dropped before the next one
-        self._ints: tuple[list[int], int] = ([1], 1)
+        # (row numerators, L); after an interrupted extension the row is one
+        # index ahead of _values, and the next call publishes its a[0]
+        self._row: tuple[list[int], int] = ([1], 1)
         self._lock = threading.Lock()
 
     @property
@@ -57,19 +56,18 @@ class BernoulliCache:
         with self._lock:
             while len(self._values) <= m:
                 n = len(self._values)
-                nums, den = self._ints
-                del nums[n:]
-                acc = 0
-                binom = 1  # C(n+1, k)
-                for k, num in enumerate(nums):
-                    acc += binom * num
-                    binom = binom * (n + 1 - k) // (k + 1)
-                value = Fraction(-acc, (n + 1) * den)
-                if den % value.denominator:
-                    scale = lcm(den, value.denominator) // den
-                    self._ints = nums, den = [num * scale for num in nums], den * scale
-                nums.append(value.numerator * (den // value.denominator))
-                self._values.append(value)
+                row, den = self._row
+                if len(row) == n:
+                    scale = lcm(den, n + 1) // den
+                    row = [a * scale for a in row] if scale > 1 else row.copy()
+                    den *= scale
+                    x = den // (n + 1)
+                    row.append(x)
+                    for j in range(n, 0, -1):
+                        x = row[j - 1] = j * (row[j - 1] - x)
+                    self._row = row, den
+                value = Fraction(row[0], den)
+                self._values.append(-value if n == 1 else value)
             return self._values[m]
 
 
@@ -107,7 +105,7 @@ def bernoulli_at_half(r: int) -> Fraction:
 
 
 def verify_odd_zero(max_m: int) -> VerificationReport:
-    """Check B_(2m+1) == 0 for m = 1..max_m, values taken from the recurrence."""
+    """Check B_(2m+1) == 0 for m = 1..max_m, values taken from the triangle."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     lines = tuple(

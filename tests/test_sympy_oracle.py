@@ -46,6 +46,8 @@ def sympy_bernoulli_number(m: int) -> Fraction:
 @example(1)
 @example(2)
 @example(400)
+@example(1000)
+@example(1001)
 @settings(max_examples=20, deadline=None)
 def test_bernoulli_numbers_match_sympy(m):
     assert bernoulli_number(m) == sympy_bernoulli_number(m)
