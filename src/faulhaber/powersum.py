@@ -50,20 +50,14 @@ def powersum_via_bernoulli_poly(m: int) -> Polynomial:
 def oracle_sum(m: int, n: int) -> int:
     """Brute force: add up k**m term by term with exact integers.
 
-    Shares no code with the polynomial constructions; powers are built by
-    repeated multiplication so there is nothing clever to be wrong.
+    Each power is Python's own integer `**`, so the sum still shares no code
+    with the library's polynomial constructions.
     """
     if m < 0:
         raise ValueError("oracle_sum requires m >= 0")
     if n < 1:
         raise ValueError("oracle_sum requires n >= 1")
-    total = 0
-    for k in range(1, n + 1):
-        term = 1
-        for _ in range(m):
-            term *= k
-        total += term
-    return total
+    return sum(k**m for k in range(1, n + 1))
 
 
 def check_partial_sum_identity(m: int, n: int) -> CheckLine:

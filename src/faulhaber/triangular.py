@@ -136,13 +136,13 @@ def square_in_triangular(power: int) -> Polynomial:
 def _bridge_identities(n, s1, s2) -> tuple[bool, bool]:
     """Whether each bridge identity holds for n, s1 = sum k and s2 = sum k^2.
 
-    Takes integers or polynomials in n alike.
+    The paper's forms are (n + 1/2) s1^2 = (3/2) s1 s2 and
+    (n + 1/2) s2 = (4/3 s1 + 1/6) s1. Multiplied through by 2 and by 6 they
+    are checked as (2n + 1) s1^2 = 3 s1 s2 and 3(2n + 1) s2 = (8 s1 + 1) s1,
+    with no fraction, on integers or polynomials in n alike.
     """
-    half = Fraction(1, 2)
-    return (
-        (n + half) * s1 * s1 == s1 * s2 * Fraction(3, 2),
-        (n + half) * s2 == (s1 * Fraction(4, 3) + Fraction(1, 6)) * s1,
-    )
+    odd = 2 * n + 1
+    return odd * s1 * s1 == 3 * s1 * s2, 3 * odd * s2 == (8 * s1 + 1) * s1
 
 
 def _running_sums(max_n: int):
@@ -156,9 +156,11 @@ def verify_lemma(max_n: int) -> VerificationReport:
 
     Identity 1: (n + 1/2)(sum k)^2 = (3/2) u sum(k^2).
     Identity 2: (n + 1/2) sum(k^2) = (4u/3 + 1/6) sum k.
+    Both are checked with their denominators cleared, as
+    (2n + 1)(sum k)^2 = 3 u sum(k^2) and 3(2n + 1) sum(k^2) = (8u + 1) sum k.
     The symbolic check compares polynomials in n; the numeric check adds up
-    k and k^2 term by term on integers, so it is brute force, linear in max_n
-    and independent of every polynomial construction.
+    k and k^2 term by term on plain integers, so it is brute force, linear in
+    max_n and independent of every polynomial construction.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

@@ -501,8 +501,9 @@ class TestAgainstReference:
     `perfbench/expected.json` records the exit code and a stdout (or result)
     digest for every benchmark request; `perfbench/reference.py` builds them
     from sympy and brute-force integer sums and never imports faulhaber.
-    `eval --check` and the `verify` sweeps past `--max 20` are left out to
-    keep the tests quick: their oracle sums are the slow requests.
+    Every `eval --check` and `verify lemma` request is read, since their
+    integer checks run at C speed; the other `verify` sweeps past `--max 20`
+    are left out to keep the tests quick.
     """
 
     MAX_EXPONENT = 40
@@ -513,11 +514,11 @@ class TestAgainstReference:
             key
             for key in outcomes
             if key.split()[0] in ("powersum", "bernoulli", "eval")
-            and "--check" not in key.split()
             and int(key.split()[1]) <= self.MAX_EXPONENT
         )
         # every command, and usage errors as well as successes, are in the selection
         assert len(keys) > 700
+        assert sum("--check" in key.split() for key in keys) == 245
         assert {key.split()[0] for key in keys} == {"powersum", "bernoulli", "eval"}
         assert {outcomes[key][0] for key in keys} == {"0", "2"}
         mismatches = []
@@ -550,10 +551,12 @@ class TestAgainstReference:
         keys = sorted(
             key
             for key in outcomes
-            if key.split()[0] == "verify" and int(key.split()[-1]) <= 20
+            if key.split()[0] == "verify"
+            and (key.split()[1] == "lemma" or int(key.split()[-1]) <= 20)
         )
         # every suite, and the usage error of `verify all --max 1`, are in the selection
         assert {key.split()[1] for key in keys} == {"all", *cli.SUITES}
+        assert sum(key.split()[1] == "lemma" for key in keys) == 281
         assert {outcomes[key][0] for key in keys} == {"0", "2"}
         mismatches = []
         for key in keys:

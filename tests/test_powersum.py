@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faulhaber.polynomial import Polynomial
@@ -18,6 +18,17 @@ from faulhaber.powersum import (
 )
 
 F = Fraction
+
+
+def repeated_multiplication_sum(m: int, n: int) -> int:
+    """The oracle's own reference: each k**m built by m multiplications."""
+    total = 0
+    for k in range(1, n + 1):
+        term = 1
+        for _ in range(m):
+            term *= k
+        total += term
+    return total
 
 
 class TestMonomialPolynomials:
@@ -91,6 +102,13 @@ class TestOracle:
     @settings(max_examples=50)
     def test_polynomial_matches_oracle_random(self, m, n):
         assert powersum_monomial(m)(n) == oracle_sum(m, n)
+
+    @given(st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=300))
+    @example(0, 1)
+    @example(0, 300)
+    @example(60, 300)
+    def test_matches_repeated_multiplication(self, m, n):
+        assert oracle_sum(m, n) == repeated_multiplication_sum(m, n)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from faulhaber.powersum import oracle_sum, powersum_monomial
 from faulhaber.reports import CheckLine
 from faulhaber.triangular import (
     NotTriangular,
+    _bridge_identities,
     _inductive_table,
     _split,
     expand_to_monomial,
@@ -298,6 +299,23 @@ class TestLemma:
         sq_sum = powersum_monomial(1) * powersum_monomial(1)
         assert (X + half) * sq_sum == F(3, 2) * U_OF_N * sum_sq
         assert (X + half) * sum_sq == (F(4, 3) * U_OF_N + F(1, 6)) * U_OF_N
+
+    @given(
+        st.tuples(st.integers(), st.integers(), st.integers())
+        | st.integers(min_value=1, max_value=10**6).map(
+            lambda n: (n, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6)
+        )
+    )
+    def test_cleared_identities_mean_the_papers(self, triple):
+        # any integers, sums or not: clearing the denominators changes no verdict
+        n, s1, s2 = triple
+        half = F(1, 2)
+        papers = (
+            (n + half) * s1 * s1 == F(3, 2) * s1 * s2,
+            (n + half) * s2 == (F(4, 3) * s1 + F(1, 6)) * s1,
+        )
+        assert _bridge_identities(n, s1, s2) == papers
+        assert _bridge_identities(X, U_OF_N, SUM_OF_SQUARES_OF_N) == (True, True)
 
     def test_bound_rejected(self):
         with pytest.raises(ValueError):
