@@ -3,8 +3,9 @@
 Exit codes: 0 success (all verifications passed), 1 a verification suite
 found a counterexample, a consistency check failed or stdout closed early, 2
 usage error, 130 interrupted (Ctrl-C, SIGINT), with one `error:` line in place
-of a traceback. Results go to stdout, diagnostics to stderr. There is no
-configuration beyond the flags; identical invocations print identical bytes.
+of a traceback; `verify` prints a suite's as its `NAME: FAIL (error: ...)`
+line and runs the rest. Results go to stdout, diagnostics to stderr. There is
+no configuration beyond the flags; identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -112,10 +113,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         minimum = SUITES[name][1]
         if args.max < minimum:
             raise UsageError(f"suite '{name}': --max must be >= {minimum}")
-    # looked up at call time, so a rebinding of the module global is honoured
-    reports = [globals()[SUITES[name][0]](args.max) for name in names]
     failed = False
-    for report in reports:
+    for name in names:
+        try:
+            # looked up at call time, so a rebinding of the module global is honoured
+            report = globals()[SUITES[name][0]](args.max)
+        except ConsistencyError as exc:
+            failed = True
+            print(f"{name}: FAIL (error: {exc})")
+            continue
         print(report.summary())
         if not report.passed:
             failed = True

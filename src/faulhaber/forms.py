@@ -2,8 +2,8 @@
 
 An even power sum is a polynomial in u = n(n+1)/2 times sum(k^2), an odd one
 a polynomial in u times (sum k)^2; `BY_PARITY` holds that split once, with each
-multiplier in n and in N = n + 1/2. Only data and shape checks live here: the
-routes that build forms live in `triangular` and `shifted`.
+multiplier in n. Only data and shape checks live here: the routes that build
+forms live in `triangular` and `shifted`, which derives the basis in N = n + 1/2.
 """
 
 from __future__ import annotations
@@ -40,21 +40,10 @@ SUM_OF_SQUARES_OF_N = Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1,
 #: (sum k)^2, the odd-exponent multiplier.
 SQUARE_OF_SUM_OF_N = U_OF_N * U_OF_N
 
-#: u rewritten in N: u = N^2/2 - 1/8. Also equals sum k.
-U_OF_SHIFT = Polynomial((Fraction(-1, 8), 0, Fraction(1, 2)))
-
-#: sum k^2 = N(N^2/3 - 1/12).
-SUM_OF_SQUARES_SHIFTED = Polynomial((0, Fraction(-1, 12), 0, Fraction(1, 3)))
-
-#: (sum k)^2 = (N^2/2 - 1/8)^2.
-SQUARE_OF_SUM_SHIFTED = U_OF_SHIFT * U_OF_SHIFT
-
-#: power % 2 -> (parity, multiplier, its LaTeX text, the multiplier in n, the multiplier in N)
+#: power % 2 -> (parity, multiplier, its LaTeX text, the multiplier in n)
 BY_PARITY = (
-    ("even", Multiplier.SUM_OF_SQUARES, r"\cdot\sum k^{2}", SUM_OF_SQUARES_OF_N,
-     SUM_OF_SQUARES_SHIFTED),
-    ("odd", Multiplier.SQUARE_OF_SUM, r"\cdot\left(\sum k\right)^{2}", SQUARE_OF_SUM_OF_N,
-     SQUARE_OF_SUM_SHIFTED),
+    ("even", Multiplier.SUM_OF_SQUARES, r"\cdot\sum k^{2}", SUM_OF_SQUARES_OF_N),
+    ("odd", Multiplier.SQUARE_OF_SUM, r"\cdot\left(\sum k\right)^{2}", SQUARE_OF_SUM_OF_N),
 )
 
 
@@ -124,13 +113,11 @@ class FaulhaberForm(_Form):
 class ShiftedForm(_Form):
     """One power sum as a single-parity polynomial in N = n + 1/2.
 
-    `polynomial` is the sum in N, of degree power + 1, with only exponents of
-    that parity. `coefficients` reads it in the paper's order: for an even
-    power 2m, d_0..d_m multiplying N^(2m+1), N^(2m-1), ..., N (one more
-    entry than the triangular list, because the multiplier contributes a
-    coefficient of its own after substitution); for an odd power 2m+1,
-    e_0..e_(m+1) multiplying N^(2m+2), N^(2m), ..., N^2, 1, where the
-    trailing constant term exists only in this parity.
+    `polynomial` is the whole sum in N, with no multiplier, of degree
+    power + 1 and only exponents of that parity. `coefficients` reads it in
+    the paper's order: for an even power 2m, d_0..d_m multiplying N^(2m+1),
+    N^(2m-1), ..., N; for an odd power 2m+1, e_0..e_(m+1) multiplying
+    N^(2m+2), N^(2m), ..., N^2, 1, a constant only this parity has.
     """
 
     __slots__ = ("power", "polynomial")

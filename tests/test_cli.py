@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from faulhaber import cli, powersum, recurrence, render, triangular
+from faulhaber import bernoulli, cli, powersum, recurrence, render, triangular
 from faulhaber.bernoulli import bernoulli_polynomial
 from faulhaber.forms import SQUARE_OF_SUM_OF_N, SUM_OF_SQUARES_OF_N, FaulhaberForm, ShiftedForm
 from faulhaber.polynomial import Polynomial, X
@@ -494,6 +494,27 @@ class TestVerifyCommand:
             " (Bernoulli-polynomial recurrence differs)\n"
         )
 
+    def test_internal_error_in_one_suite_hides_no_other(self, capsys):
+        # B_4 raised by 1/1000 breaks the split of the power sum for exponent 4,
+        # which roundtrip and constant-term build; every suite still prints its line
+        values = bernoulli._DEFAULT_CACHE._values
+        exact = bernoulli.bernoulli_number(4)
+        values[4] = exact + F(1, 1000)
+        try:
+            code, out, err = run(capsys, "verify", "all", "--max", "10")
+        finally:
+            values[4] = exact
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines if not line.startswith("first")] == list(
+            cli.SUITES
+        )
+        split_error = "FAIL (error: power sum for exponent 4 is not divisible by Sum(k^2))"
+        assert f"roundtrip: {split_error}" in lines
+        assert f"constant-term: {split_error}" in lines
+        assert "odd-bernoulli: PASS (10 checks)" in lines
+        assert "lemma: PASS (4 checks)" in lines
+
 
 class TestAgainstReference:
     """CLI output and library results against outcomes computed without this library.
@@ -571,6 +592,16 @@ class TestAgainstReference:
         for power in range(100, 401):
             outcome = perfbench_workloads.library_outcome(shifted_closed_form(power))
             if outcome != outcomes[f"shifted_closed_form({power})"]:
+                mismatches.append(power)
+        assert mismatches == []
+
+    def test_odd_conversion_at_high_degree_matches_the_reference(self):
+        # the standard degrees below are all even; this reads every odd one
+        outcomes = perfbench_common.load_expected().outcomes
+        mismatches = []
+        for power in range(101, 400, 2):
+            outcome = perfbench_workloads.library_outcome(shifted_form(power))
+            if outcome != outcomes[f"shifted_form({power})"]:
                 mismatches.append(power)
         assert mismatches == []
 

@@ -96,21 +96,49 @@ class TestStructure:
 
     @staticmethod
     def _set_even_shifted_multiplier(monkeypatch, multiplier):
-        """Replace the even multiplier in N in the parity table that the conversion reads."""
-        even, odd = shifted.BY_PARITY
-        monkeypatch.setattr(shifted, "BY_PARITY", ((*even[:4], multiplier), odd))
+        """Replace the even multiplier in N in the table that the conversion reads."""
+        odd = shifted.MULTIPLIERS_OF_SHIFT[1]
+        monkeypatch.setattr(shifted, "MULTIPLIERS_OF_SHIFT", (multiplier, odd))
 
     def test_stray_term_rejected(self, monkeypatch):
-        wrong = shifted.BY_PARITY[0][4] + X * X
+        wrong = shifted.MULTIPLIERS_OF_SHIFT[0] + X * X
         self._set_even_shifted_multiplier(monkeypatch, wrong)
         with pytest.raises(ConsistencyError, match=r"stray N\^2 term"):
             shifted_form(2)
 
     def test_wrong_degree_rejected(self, monkeypatch):
-        wrong = shifted.BY_PARITY[0][4] * X
+        wrong = shifted.MULTIPLIERS_OF_SHIFT[0] * X
         self._set_even_shifted_multiplier(monkeypatch, wrong)
         with pytest.raises(ConsistencyError, match="has degree 4, expected 3"):
             shifted_form(2)
+
+    def test_closed_form_rejects_a_sum_not_vanishing_at_half(self, monkeypatch):
+        # an even power's odd polynomial must be 0 at N = 1/2 on its own; a wrong
+        # B_2(1/2) breaks that, and subtracting the value leaves an N^0 term
+        exact = shifted.bernoulli_at_half
+        monkeypatch.setattr(
+            shifted, "bernoulli_at_half", lambda r: exact(r) + (F(1, 1000) if r == 2 else 0)
+        )
+        with pytest.raises(ConsistencyError, match=r"stray N\^0 term"):
+            shifted_closed_form(4)
+
+
+class TestDerivedBasis:
+    """The basis in N is derived from n = N - 1/2; these are the values it must give."""
+
+    def test_n_minus_half(self):
+        assert shifted.N_MINUS_HALF == X + F(-1, 2)
+
+    def test_u_of_shift(self):
+        assert shifted.U_OF_SHIFT == Polynomial((F(-1, 8), 0, F(1, 2)))
+
+    def test_even_multiplier_of_shift(self):
+        # sum k^2 = N(N^2/3 - 1/12)
+        assert shifted.MULTIPLIERS_OF_SHIFT[0] == Polynomial((0, F(-1, 12), 0, F(1, 3)))
+
+    def test_odd_multiplier_of_shift(self):
+        # (sum k)^2 = (N^2/2 - 1/8)^2
+        assert shifted.MULTIPLIERS_OF_SHIFT[1] == shifted.U_OF_SHIFT * shifted.U_OF_SHIFT
 
 
 class TestBackToMonomial:
