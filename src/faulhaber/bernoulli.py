@@ -26,49 +26,47 @@ class BernoulliCache:
     vanishing of the odd values is an observed consequence here, never an
     assumption; the defining recurrence is the tests' oracle.
 
-    Reads of already-published indices are lock-free (entries are immutable
-    Fractions appended whole); extension is serialized so concurrent callers
-    never observe a partially built table. An exception at any point of an
-    extension (KeyboardInterrupt, MemoryError) leaves the table consistent:
-    each row is built out of place and stored with L as one attribute, and
-    an index is published by appending its Fraction last.
+    The table is one state, (B_0..B_n, the row for n, L), that is never
+    mutated. Reads are lock-free; an extension, serialized by a lock, sweeps
+    a copy of the row and publishes a new state in one assignment, so a
+    reader sees the old table or the new one. An exception at any point of
+    an extension (Ctrl-C, MemoryError) leaves the old state, from which the
+    next call goes on; the interrupted call keeps none of its own indices.
     """
 
     def __init__(self) -> None:
-        self._values: list[Fraction] = [Fraction(1)]
-        # (row numerators, L); after an interrupted extension the row is one
-        # index ahead of _values, and the next call publishes its a[0]
-        self._row: tuple[list[int], int] = ([1], 1)
+        self._state: tuple[tuple[Fraction, ...], list[int], int] = ((Fraction(1),), [1], 1)
         self._lock = threading.Lock()
 
     @property
     def high_water(self) -> int:
         """Largest index currently stored."""
-        return len(self._values) - 1
+        return len(self._state[0]) - 1
 
     def get(self, m: int) -> Fraction:
         """B_m, computing and caching every index up to m on first use."""
         if m < 0:
             raise ValueError("Bernoulli index must be >= 0")
-        values = self._values
+        values = self._state[0]
         if m < len(values):
             return values[m]
         with self._lock:
-            while len(self._values) <= m:
-                n = len(self._values)
-                row, den = self._row
-                if len(row) == n:
-                    scale = lcm(den, n + 1) // den
-                    row = [a * scale for a in row] if scale > 1 else row.copy()
+            values, row, den = self._state
+            row, new = [*row], []  # a list row: one copy per call, a tuple's two cost ~7%
+            for n in range(len(values), m + 1):
+                scale = lcm(den, n + 1) // den
+                if scale > 1:
+                    row = [a * scale for a in row]
                     den *= scale
-                    x = den // (n + 1)
-                    row.append(x)
-                    for j in range(n, 0, -1):
-                        x = row[j - 1] = j * (row[j - 1] - x)
-                    self._row = row, den
+                x = den // (n + 1)
+                row.append(x)
+                for j in range(n, 0, -1):
+                    x = row[j - 1] = j * (row[j - 1] - x)
                 value = Fraction(row[0], den)
-                self._values.append(-value if n == 1 else value)
-            return self._values[m]
+                new.append(-value if n == 1 else value)
+            values += tuple(new)
+            self._state = values, row, den
+            return values[m]
 
 
 _DEFAULT_CACHE = BernoulliCache()

@@ -85,6 +85,7 @@ class VerificationReport(Record):
 
     def summary(self) -> str:
         failed = sum(1 for line in self.lines if not line.passed)
+        checks = f"{len(self.lines)} check{'' if len(self.lines) == 1 else 's'}"
         if failed:
-            return f"{self.name}: FAIL ({len(self.lines)} checks, {failed} failed)"
-        return f"{self.name}: PASS ({len(self.lines)} checks)"
+            return f"{self.name}: FAIL ({checks}, {failed} failed)"
+        return f"{self.name}: PASS ({checks})"

@@ -470,6 +470,12 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "odd-bernoulli", "--max", "100")[0] == 0
         assert run(capsys, "verify", "lemma")[0] == 0
 
+    @pytest.mark.parametrize(
+        "suite, bound", [("odd-bernoulli", "1"), ("roundtrip", "1"), ("constant-term", "2")]
+    )
+    def test_a_one_line_suite_counts_one_check(self, capsys, suite, bound):
+        assert run(capsys, "verify", suite, "--max", bound) == (0, f"{suite}: PASS (1 check)\n", "")
+
     def test_failure_exits_one_and_names_counterexample(self, capsys, monkeypatch):
         broken = VerificationReport(
             name="odd-bernoulli",
@@ -497,13 +503,15 @@ class TestVerifyCommand:
     def test_internal_error_in_one_suite_hides_no_other(self, capsys):
         # B_4 raised by 1/1000 breaks the split of the power sum for exponent 4,
         # which roundtrip and constant-term build; every suite still prints its line
-        values = bernoulli._DEFAULT_CACHE._values
-        exact = bernoulli.bernoulli_number(4)
-        values[4] = exact + F(1, 1000)
+        cache = bernoulli._DEFAULT_CACHE
+        cache.get(4)
+        exact = cache._state
+        values, row, den = exact
+        cache._state = (*values[:4], values[4] + F(1, 1000), *values[5:]), row, den
         try:
             code, out, err = run(capsys, "verify", "all", "--max", "10")
         finally:
-            values[4] = exact
+            cache._state = exact
         assert (code, err) == (1, "")
         lines = out.splitlines()
         assert [line.split(":")[0] for line in lines if not line.startswith("first")] == list(

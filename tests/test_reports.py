@@ -189,6 +189,20 @@ def test_a_polynomial_has_no_parity_or_multiplier():
     assert not hasattr(Polynomial((1,)), "multiplier")
 
 
+@pytest.mark.parametrize(
+    "outcomes, summary",
+    [
+        ((True,), "s: PASS (1 check)"),
+        ((False,), "s: FAIL (1 check, 1 failed)"),
+        ((True, True), "s: PASS (2 checks)"),
+        ((True, False), "s: FAIL (2 checks, 1 failed)"),
+    ],
+)
+def test_summary_counts_one_check_in_the_singular(outcomes, summary):
+    lines = tuple(CheckLine(f"check {i}", ok) for i, ok in enumerate(outcomes))
+    assert VerificationReport("s", lines).summary() == summary
+
+
 def test_records_of_different_classes_with_equal_fields_differ():
     line, report = CheckLine("x", True), VerificationReport("x", True)
     assert line != report
