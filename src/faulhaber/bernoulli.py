@@ -29,9 +29,11 @@ class BernoulliCache:
     The table is one state, (B_0..B_n, the row for n, L), that is never
     mutated. Reads are lock-free; an extension, serialized by a lock, sweeps
     a copy of the row and publishes a new state in one assignment, so a
-    reader sees the old table or the new one. An exception at any point of
-    an extension (Ctrl-C, MemoryError) leaves the old state, from which the
-    next call goes on; the interrupted call keeps none of its own indices.
+    reader sees the old table or the new one. An exception inside an
+    extension (Ctrl-C, MemoryError) leaves the old state, from which the next
+    call goes on; the interrupted call keeps none of its own indices. Only an
+    interrupt in the `with` statement's own exit leaves the lock held, and
+    the next extension in that process blocks; a one-shot CLI cannot meet it.
     """
 
     def __init__(self) -> None:

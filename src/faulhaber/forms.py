@@ -58,9 +58,8 @@ class _Form(Record):
     __slots__ = ()
 
     def __init__(self, power: int, polynomial: Polynomial) -> None:
-        kind, least, degree_of, step = self._shape
-        if type(power) is not int or power < least:
-            raise ValueError(f"{kind} forms require an int power >= {least}")
+        self.check_power(power)
+        kind, _, degree_of, step = self._shape
         if not isinstance(polynomial, Polynomial):
             raise TypeError(f"a {kind} form holds a Polynomial, not {type(polynomial).__name__}")
         degree = degree_of(power)
@@ -73,6 +72,13 @@ class _Form(Record):
                 raise ValueError(f"{kind} form for power {power} has a stray N^{k} term")
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "polynomial", polynomial)
+
+    @classmethod
+    def check_power(cls, power: int) -> None:
+        """ValueError unless `power` is an int (never a bool) at least the class's least power."""
+        kind, least = cls._shape[:2]
+        if type(power) is not int or power < least:
+            raise ValueError(f"{kind} forms require an int power >= {least}")
 
     @classmethod
     def from_route(cls, power: int, polynomial: Polynomial) -> _Form:

@@ -115,24 +115,19 @@ class Polynomial(Record):
 
     # -- ring operations ----------------------------------------------------
 
-    @staticmethod
-    def combination(terms: Iterable[tuple[Fraction | int, Polynomial]]) -> Polynomial:
-        """The sum of c * p over the (c, p) pairs in `terms`; each c is an int or a Fraction."""
-        message = "scalars must be an int or Fraction"
-        return _combine((_exact(c, message).numerator, c.denominator, p) for c, p in terms)
-
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return Polynomial.combination(((1, self), (1, other)))
+        return _combine(((1, 1, self), (1, 1, other)))
 
     __radd__ = __add__
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            return Polynomial.combination(((other, self),))
+            other = _exact(other, "scalars must be an int or Fraction")
+            return _combine(((other.numerator, other.denominator, self),))
         if not isinstance(other, Polynomial):
             return NotImplemented
         return Polynomial(

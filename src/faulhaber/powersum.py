@@ -41,10 +41,7 @@ def powersum_via_bernoulli_poly(m: int) -> Polynomial:
     if m < 1:
         raise ValueError("powersum_via_bernoulli_poly requires m >= 1")
     shifted = bernoulli_polynomial(m + 1).compose(X + 1)
-    scale = Fraction(1, m + 1)
-    return Polynomial.combination(
-        ((scale, shifted), (-scale * bernoulli_number(m + 1), Polynomial((1,))))
-    )
+    return (shifted + -bernoulli_number(m + 1)) * Fraction(1, m + 1)
 
 
 def oracle_sum(m: int, n: int) -> int:

@@ -32,8 +32,7 @@ MULTIPLIERS_OF_SHIFT = tuple(row[3].compose(N_MINUS_HALF) for row in BY_PARITY)
 
 def shifted_form(power: int) -> ShiftedForm:
     """Conversion route: substitute u = N^2/2 - 1/8 into the triangular form."""
-    if power < 1:
-        raise ValueError("shifted forms require power >= 1")
+    ShiftedForm.check_power(power)
     if power == 1:
         return ShiftedForm.from_route(1, U_OF_SHIFT)
     return _from_triangular(faulhaber_form(power))
@@ -54,8 +53,7 @@ def shifted_closed_form(power: int) -> ShiftedForm:
     N = 1/2, so its value there is subtracted: an odd power's constant
     e_(m+1), and 0 for an even power, whose N^0 term is otherwise stray.
     """
-    if power < 1:
-        raise ValueError("shifted forms require power >= 1")
+    ShiftedForm.check_power(power)
     slots: list[Fraction | int] = [0] * (power + 2)
     slots[power + 1:0:-2] = [  # N^(power+1), N^(power-1), ..., above N^0
         Fraction(comb(power, 2 * i), power - 2 * i + 1) * bernoulli_at_half(2 * i)

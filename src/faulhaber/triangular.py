@@ -58,8 +58,7 @@ def faulhaber_form(power: int) -> FaulhaberForm:
     The odd multiplier is u^2, so B = 0; the even one is (1 + 2n) * u / 3, so
     B = 2A. Terms of A or B below u^2 (odd) or u (even) are a remainder of dividing by it.
     """
-    if power < 2:
-        raise ValueError("triangular forms require power >= 2")
+    FaulhaberForm.check_power(power)
     low, twin, scale = (2, 0, 1) if power % 2 else (1, 2, 3)  # B = twin*A, q = scale*A/u^low
     failed = f"power sum for exponent {power} is not"
     multiplier = BY_PARITY[power % 2][1].value
@@ -110,8 +109,7 @@ def _inductive_table(m: int) -> list[Polynomial | None]:
 
 def faulhaber_form_inductive(power: int) -> FaulhaberForm:
     """Inductive route; must agree exactly with faulhaber_form."""
-    if power < 2:
-        raise ValueError("triangular forms require power >= 2")
+    FaulhaberForm.check_power(power)
     return FaulhaberForm.from_route(power, _inductive_table(power)[power])
 
 

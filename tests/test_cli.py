@@ -466,6 +466,12 @@ class TestVerifyCommand:
         assert code == 0
         assert out == documented
 
+    def test_library_example_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("\n## Library example\n"):]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md (library example)", "exec"), {})
+
     def test_documented_invocations(self, capsys):
         assert run(capsys, "verify", "odd-bernoulli", "--max", "100")[0] == 0
         assert run(capsys, "verify", "lemma")[0] == 0

@@ -47,6 +47,7 @@ SHARED_FUNCTIONS = set().union(
         frames_of,
         (
             _Form.__init__,
+            _Form.check_power.__func__,
             _Form.from_route.__func__,
             FaulhaberForm._shape[2],
             ShiftedForm._shape[2],

@@ -17,6 +17,7 @@ from faulhaber.shifted import (
     shifted_to_monomial,
     verify_roundtrip,
 )
+from faulhaber.triangular import faulhaber_form, faulhaber_form_inductive
 
 F = Fraction
 
@@ -193,3 +194,19 @@ class TestBackToMonomial:
         monkeypatch.setattr(shifted, "faulhaber_form", counted)
         assert verify_roundtrip(20).passed
         assert sorted(calls) == list(range(2, 21))
+
+
+@pytest.mark.parametrize("power", [True, 2.0, 0, -1])
+@pytest.mark.parametrize(
+    "route, kind, least",
+    [
+        (faulhaber_form, "triangular", 2),
+        (faulhaber_form_inductive, "triangular", 2),
+        (shifted_form, "shifted", 1),
+        (shifted_closed_form, "shifted", 1),
+    ],
+)
+def test_every_form_route_reports_a_bad_power_as_the_callers_error(route, kind, least, power):
+    # a ValueError, never the ConsistencyError kept for the library's own faults
+    with pytest.raises(ValueError, match=f"^{kind} forms require an int power >= {least}$"):
+        route(power)
