@@ -84,7 +84,7 @@ def bernoulli_polynomial(m: int) -> Polynomial:
     if m < 0:
         raise ValueError("Bernoulli polynomial index must be >= 0")
     bs = [_DEFAULT_CACHE.get(j) for j in range(m + 1)]
-    den = lcm(*(b.denominator for b in bs))
+    den = lcm(*[b.denominator for b in bs])
     nums = [0] * (m + 1)
     binom = 1  # C(m, j)
     for j, b in enumerate(bs):
@@ -108,8 +108,8 @@ def verify_odd_zero(max_m: int) -> VerificationReport:
     """Check B_(2m+1) == 0 for m = 1..max_m, values taken from the triangle."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
-    lines = tuple(
+    lines = [
         CheckLine(f"B_{2 * m + 1} = 0", bernoulli_number(2 * m + 1) == 0)
         for m in range(1, max_m + 1)
-    )
-    return VerificationReport(name="odd-bernoulli", lines=lines)
+    ]
+    return VerificationReport(name="odd-bernoulli", lines=tuple(lines))

@@ -11,6 +11,7 @@ no configuration beyond the flags; identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Sequence
@@ -129,7 +130,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call (not at import)
+    and shared by every later one; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="faulhaber",
         description="Exact power sums in monomial, triangular, and half-shifted bases.",
@@ -165,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe then fails here, not at exit

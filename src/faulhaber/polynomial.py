@@ -6,6 +6,11 @@ in a nonzero entry and gcd(denominator, *numerators) == 1, so the zero
 polynomial is ((), 1) and equality is plain field comparison. All arithmetic
 is exact. Every kernel, long division included, runs on the stored integers
 and its result is reduced once, by the constructor.
+
+Here and in every module of the library, a tuple or a star-argument is built
+from a list, never from a generator: CPython gives a tuple built from an
+iterator with no length hint 10 slots and trims it, which over many calls
+fills its tuple free lists with dead tuples (tests/test_free_lists.py).
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ def _combine(terms: Iterable[tuple[int, int, Polynomial]]) -> Polynomial:
         if a and p.numerators:
             g = gcd(a, b)
             kept.append((a // g, b // g * p.denominator, p.numerators))
-    den = lcm(*(b for _, b, _ in kept))
+    den = lcm(*[b for _, b, _ in kept])
     out = [0] * max((len(nums) for _, _, nums in kept), default=0)
     for a, b, nums in kept:
         a *= den // b
@@ -87,7 +92,7 @@ class Polynomial(Record):
         nums = list(numerators)
         if not all(type(x) is int for x in nums):
             nums = [_exact(x, "coefficients must be exact rationals") for x in nums]
-            scale = lcm(*(x.denominator for x in nums))
+            scale = lcm(*[x.denominator for x in nums])
             nums = [x.numerator * (scale // x.denominator) for x in nums]
             denominator *= scale
         while nums and not nums[-1]:
@@ -102,7 +107,7 @@ class Polynomial(Record):
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, low-to-high, built afresh on each read."""
-        return tuple(Fraction(x, self.denominator) for x in self.numerators)
+        return tuple([Fraction(x, self.denominator) for x in self.numerators])
 
     @property
     def is_zero(self) -> bool:

@@ -27,7 +27,7 @@ def powersum_monomial(m: int) -> Polynomial:
     if m < 0:
         raise ValueError("powersum_monomial requires m >= 0")
     bs = [bernoulli_number(j) for j in range(m + 1)]
-    den = lcm(*(b.denominator for b in bs))
+    den = lcm(*[b.denominator for b in bs])
     nums = [0] * (m + 2)
     binom = 1  # C(m+1, j)
     for j, b in enumerate(bs):

@@ -29,7 +29,7 @@ class Record:
     __slots__ = ()
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field '{name}'")

@@ -27,7 +27,7 @@ N_MINUS_HALF = Polynomial((-1, 2), 2)
 U_OF_SHIFT = U_OF_N.compose(N_MINUS_HALF)
 
 #: power % 2 -> the multiplier of `BY_PARITY` rewritten in N
-MULTIPLIERS_OF_SHIFT = tuple(row[3].compose(N_MINUS_HALF) for row in BY_PARITY)
+MULTIPLIERS_OF_SHIFT = tuple([row[3].compose(N_MINUS_HALF) for row in BY_PARITY])
 
 
 def shifted_form(power: int) -> ShiftedForm:

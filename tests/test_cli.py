@@ -680,3 +680,52 @@ class TestStartup:
             [sys.executable, "-S", "-c", snippet], capture_output=True, text=True, check=True
         )
         assert result.stdout.split() == []
+
+
+class TestOneParserPerProcess:
+    # an argparse error, --help, a handler's usage error and a success, each
+    # followed by the same request, all in one process
+    FOLLOW_UP = ["powersum", "5", "--basis", "triangular"]
+    REQUESTS = [
+        ["bernoulli", "3", "--poly", "--at-half"],
+        ["--help"],
+        ["verify", "all", "--max", "1"],
+        ["powersum", "5", "--format", "json"],
+    ]
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "from faulhaber import cli\n"
+        "built = [cli.build_parser.cache_info().currsize]\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "    built.append(cli.build_parser.cache_info().currsize)\n"
+        "print(json.dumps([built, results]))\n"
+    )
+
+    @staticmethod
+    def _fresh(argv: list[str]) -> list:
+        result = subprocess.run(
+            [sys.executable, "-m", "faulhaber.cli", *argv], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80"),
+        )
+        return [result.returncode, result.stdout, result.stderr]
+
+    def test_reused_parser_carries_nothing_from_one_call_to_the_next(self):
+        sequence = [argv for request in self.REQUESTS for argv in (request, self.FOLLOW_UP)]
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(sequence)], capture_output=True,
+            text=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80"),
+        )
+        built, results = json.loads(result.stdout)
+        # not built at import; built by the first call and kept
+        assert built == [0] + [1] * len(sequence)
+        assert [code for code, _, _ in results] == [2, 0, 0, 0, 2, 0, 0, 0]
+        fresh = {tuple(argv): self._fresh(argv) for argv in self.REQUESTS + [self.FOLLOW_UP]}
+        assert results == [fresh[tuple(argv)] for argv in sequence]
